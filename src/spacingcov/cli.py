@@ -107,13 +107,13 @@ def cmd_spectrum(args) -> int:
 def cmd_autocov(args) -> int:
     k_max = _resolve(args, "k_max", 40, int)
     backend = _resolve(args, "backend", "painleve", str)
-    if k_max < 1:
-        print("autocov: k_max must be >= 1", file=sys.stderr)
+    if not 1 <= k_max <= ac.K_CAP:
+        print(f"autocov: k_max must lie in [1, {ac.K_CAP}]", file=sys.stderr)
         return 2
     interp = SpectrumInterpolant.build(SpectrumConfig(backend=backend))
+    series = ac.autocov_series_exact(k_max, interp)
     rows = []
-    for k in range(k_max + 1):
-        exact = ac.autocov_exact(k, interp)
+    for k, exact in enumerate(series.values):
         if k == 0:
             rows.append((k, exact, "", "", "", ""))
             continue

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -345,10 +347,14 @@ def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {c: ex.submit(_chunk_partials, config, c, children[c])
-                    for c in todo}
+            # at most 2 x threads chunks submitted and not yet folded, so
+            # memory does not grow with M
+            submit = (ex.submit(_chunk_partials, config, c, children[c])
+                      for c in todo)
+            pending = deque(islice(submit, 2 * threads))
             for c in todo:          # fold in index order: thread-count invariant
-                _fold(acc, c, futs[c].result())
+                _fold(acc, c, pending.popleft().result())
+                pending.extend(islice(submit, 1))
                 if checkpoint_path and (c + 1) % checkpoint_every == 0:
                     _save_checkpoint(checkpoint_path, config, acc)
     else:

@@ -201,12 +201,15 @@ def power_spectrum(omega: float,
     return value, err
 
 
-def power_spectrum_small_omega(omega: float, validity_max: float = 0.2) -> float:
-    """Closed small-omega form omega/2pi + (omega^3/4pi^3) log(omega/2pi)."""
-    if not (0.0 < omega <= validity_max):
+def power_spectrum_small_omega(omega, validity_max: float = 0.2):
+    """Closed small-omega form omega/2pi + (omega^3/4pi^3) log(omega/2pi);
+    elementwise for arrays."""
+    w = np.asarray(omega, dtype=float)
+    if not np.all((0.0 < w) & (w <= validity_max)):
         raise ValueError(
             f"small-omega form valid on (0, {validity_max}], got {omega}")
-    return omega / TWO_PI + omega ** 3 / (4.0 * np.pi ** 3) * np.log(omega / TWO_PI)
+    val = w / TWO_PI + w ** 3 / (4.0 * np.pi ** 3) * np.log(w / TWO_PI)
+    return float(val) if val.ndim == 0 else val
 
 
 def eig_spectrum_from_sp(omega: float,
@@ -338,18 +341,15 @@ class SpectrumInterpolant:
 
     def __call__(self, omega):
         omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        if np.any(omega < 0) or np.any(omega > np.pi + 1e-12):
-            raise ValueError("omega out of [0, pi]")
-        out = np.empty(omega.shape)
-        small = omega < self.omega_min
-        for i in np.nonzero(small)[0]:
-            w = omega[i]
-            out[i] = (0.0 if w == 0.0 else power_spectrum_small_omega(w))
-        idx = np.clip(np.searchsorted(self.edges, omega[~small], side="right") - 1,
-                      0, len(self.coeffs) - 1)
-        pos = np.nonzero(~small)[0]
-        for j, i in enumerate(pos):
-            lo, hi = self.edges[idx[j]], self.edges[idx[j] + 1]
-            x = 2.0 * (omega[i] - lo) / (hi - lo) - 1.0
-            out[i] = np.polynomial.chebyshev.chebval(x, self.coeffs[idx[j]])
+        if not np.all((omega >= 0) & (omega <= np.pi + 1e-12)):
+            raise ValueError("omega must be finite and in [0, pi]")
+        out = np.zeros(omega.shape)
+        small = (omega > 0.0) & (omega < self.omega_min)
+        out[small] = power_spectrum_small_omega(omega[small])
+        idx = np.searchsorted(self.edges[1:-1], omega, side="right")
+        for j, c in enumerate(self.coeffs):
+            sel = (omega >= self.omega_min) & (idx == j)
+            lo, hi = self.edges[j], self.edges[j + 1]
+            x = 2.0 * (omega[sel] - lo) / (hi - lo) - 1.0
+            out[sel] = np.polynomial.chebyshev.chebval(x, c)
         return out if out.size > 1 else float(out[0])

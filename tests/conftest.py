@@ -7,10 +7,9 @@ only skips the quadrature).
 
 import os
 
-import numpy as np
 import pytest
 
-from spacingcov import autocov_exact
+from spacingcov import autocov_series_exact
 from spacingcov import montecarlo as mc
 from spacingcov.spectral import SpectrumInterpolant
 
@@ -36,8 +35,7 @@ def spectrum_interpolant():
 @pytest.fixture(scope="session")
 def exact_series(spectrum_interpolant):
     """delta I_k for k = 0..50 from the exact Fourier-inversion route."""
-    return np.array([autocov_exact(k, spectrum_interpolant)
-                     for k in range(51)])
+    return autocov_series_exact(50, spectrum_interpolant).values
 
 
 # acceptance-scale Monte Carlo configuration; the seed is part of the

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from spacingcov import autocov
 from spacingcov.autocov import (EULER_GAMMA, AutocovSeries, autocov_asymptotic,
                                 autocov_asymptotic_ci, autocov_dyson,
-                                autocov_exact, dyson_tail_estimate,
-                                sum_rule_residual)
+                                autocov_exact, autocov_series_exact,
+                                dyson_tail_estimate, sum_rule_residual)
 from spacingcov.spectral import spacing_distribution
 
 TWO_PI = 2.0 * np.pi
@@ -92,6 +93,33 @@ class TestExactInversion:
         tail = 2.0 * np.sum(1.0 / (4 * np.pi ** 4 * np.arange(51, 2001) ** 4.0))
         rhs = exact_series[0] ** 2 + 2 * np.sum(exact_series[1:] ** 2) + tail
         assert abs(lhs - rhs) < 1e-6
+
+
+# delta I_k from the earlier per-lag quadrature (a fresh Gauss-Legendre
+# rule per lag and panel, pointwise spectrum evaluation) on the default
+# 16-node interpolant
+PER_LAG_VALUES = {0: 0.17999387772133318, 20: -0.0001269969181801888,
+                  400: -3.166256716554579e-07}
+
+
+class TestSeriesExact:
+    def test_series_matches_single_lags(self, spectrum_interpolant):
+        series = autocov_series_exact(50, spectrum_interpolant)
+        for k in (0, 1, 7, 50):
+            assert abs(series.values[k]
+                       - autocov_exact(k, spectrum_interpolant)) < 1e-13
+
+    def test_guard_before_any_rule(self, spectrum_interpolant, monkeypatch):
+        def no_rule(n):
+            raise AssertionError("quadrature rule built before the guard")
+        monkeypatch.setattr(autocov, "leggauss", no_rule)
+        with pytest.raises(ValueError, match="resolution guard"):
+            autocov_series_exact(401, spectrum_interpolant)
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
+        assert abs(autocov_exact(k, spectrum_interpolant)
+                   - PER_LAG_VALUES[k]) < 1e-15
 
 
 class TestSeriesAndSumRule:

@@ -5,6 +5,7 @@ import pytest
 
 from spacingcov import autocov as ac
 from spacingcov.cli import main
+from spacingcov.spectral import SpectrumInterpolant
 
 MC_ARGS = ["--n", "24", "--m", "400", "--seed", "3", "--k-max", "3"]
 
@@ -86,6 +87,15 @@ class TestAutocov:
 
     def test_rejects_bad_k_max(self, tmp_path, capsys):
         rc, _ = _run(tmp_path, "x.csv", ["autocov", "--k-max", "0"])
+        assert rc == 2
+
+    def test_k_max_above_guard_fails_before_build(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_build(cls, *args, **kwargs):
+            raise AssertionError("interpolant built for an invalid k_max")
+        monkeypatch.setattr(SpectrumInterpolant, "build", classmethod(no_build))
+        rc, _ = _run(tmp_path, "x.csv",
+                     ["autocov", "--k-max", str(ac.K_CAP + 1)])
         assert rc == 2
 
 

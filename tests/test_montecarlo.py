@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +180,36 @@ class TestStreamingRun:
         b = mc.run(cfg, threads=3)
         assert np.array_equal(a.estimate.values, b.estimate.values)
         assert np.array_equal(a.cov, b.cov)
+
+    def test_in_flight_chunks_bounded(self, monkeypatch):
+        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=20, lead=12)
+        threads = 2
+        lock = threading.Lock()
+        count = {"started": 0, "folded": 0, "max": 0}
+        chunk_partials, fold = mc._chunk_partials, mc._fold
+
+        def counted_chunk(*args):
+            with lock:
+                count["started"] += 1
+                count["max"] = max(count["max"],
+                                   count["started"] - count["folded"])
+            return chunk_partials(*args)
+
+        def slow_fold(*args):
+            time.sleep(0.02)            # let the workers race ahead
+            fold(*args)
+            with lock:
+                count["folded"] += 1
+
+        monkeypatch.setattr(mc, "_chunk_partials", counted_chunk)
+        monkeypatch.setattr(mc, "_fold", slow_fold)
+        bounded = mc.run(cfg, threads=threads)
+        assert count["folded"] == cfg.n_chunks
+        assert count["max"] <= 2 * threads
+        monkeypatch.undo()
+        serial = mc.run(cfg, threads=1)
+        assert np.array_equal(bounded.estimate.values, serial.estimate.values)
+        assert np.array_equal(bounded.cov, serial.cov)
 
     def test_checkpoint_resume_equivalence(self, tmp_path):
         cfg = MCConfig(N=24, M=800, seed=10, k_max=3, chunk_size=200, lead=12)

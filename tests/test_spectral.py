@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
                                  eig_spectrum_from_sp, power_spectrum,
@@ -93,6 +94,13 @@ class TestSmallOmegaForm:
     def test_validity_guard(self):
         with pytest.raises(ValueError):
             power_spectrum_small_omega(0.5)
+        with pytest.raises(ValueError):
+            power_spectrum_small_omega(np.array([0.1, np.nan]))
+
+    def test_elementwise_on_arrays(self):
+        omegas = np.linspace(0.001, 0.2, 50)
+        expect = [power_spectrum_small_omega(float(w)) for w in omegas]
+        assert np.array_equal(power_spectrum_small_omega(omegas), expect)
 
 
 class TestSpacingDistribution:
@@ -166,3 +174,29 @@ class TestInterpolant:
 
     def test_zero_maps_to_zero(self, spectrum_interpolant):
         assert spectrum_interpolant(0.0) == 0.0
+
+    def test_rejects_non_finite(self, spectrum_interpolant):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                spectrum_interpolant(bad)
+            with pytest.raises(ValueError):
+                spectrum_interpolant(np.array([1.0, bad]))
+
+    def test_vectorized_matches_pointwise(self, spectrum_interpolant):
+        interp = spectrum_interpolant
+        omegas = np.concatenate([
+            [0.0], np.linspace(0.0, interp.omega_min, 7)[1:-1], interp.edges,
+            [np.pi], np.linspace(0.01, np.pi, 301)])
+
+        def pointwise(w):
+            if w == 0.0:
+                return 0.0
+            if w < interp.omega_min:
+                return power_spectrum_small_omega(w)
+            j = min(int(np.searchsorted(interp.edges, w, side="right")) - 1,
+                    len(interp.coeffs) - 1)
+            lo, hi = interp.edges[j], interp.edges[j + 1]
+            return chebval(2.0 * (w - lo) / (hi - lo) - 1.0, interp.coeffs[j])
+
+        expect = np.array([pointwise(float(w)) for w in omegas])
+        assert np.array_equal(interp(omegas), expect)
