@@ -344,27 +344,36 @@ def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
         acc = _Accumulators.fresh(config)
     children = np.random.SeedSequence(config.seed).spawn(config.n_chunks)
     todo = range(acc.next_chunk, config.n_chunks)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            # at most 2 x threads chunks submitted and not yet folded, so
-            # memory does not grow with M
-            submit = (ex.submit(_chunk_partials, config, c, children[c])
-                      for c in todo)
-            pending = deque(islice(submit, 2 * threads))
-            for c in todo:          # fold in index order: thread-count invariant
-                _fold(acc, c, pending.popleft().result())
-                pending.extend(islice(submit, 1))
-                if checkpoint_path and (c + 1) % checkpoint_every == 0:
-                    _save_checkpoint(checkpoint_path, config, acc)
-    else:
-        for c in todo:
-            _fold(acc, c, _chunk_partials(config, c, children[c]))
-            if checkpoint_path and (c + 1) % checkpoint_every == 0:
-                _save_checkpoint(checkpoint_path, config, acc)
+    # fold in index order: thread-count invariant
+    for c, partials in _chunk_results(config, todo, children, threads):
+        _fold(acc, c, partials)
+        del partials        # free it before the next chunk is computed
+        if checkpoint_path and (c + 1) % checkpoint_every == 0:
+            _save_checkpoint(checkpoint_path, config, acc)
     if checkpoint_path:
         _save_checkpoint(checkpoint_path, config, acc)
     return _finalize(config, acc)
+
+
+def _chunk_results(config: MCConfig, todo, children, threads: int):
+    """(c, partials) for every chunk c in todo, in index order.
+
+    One thread computes each chunk in the caller's thread.  More threads
+    share a pool that holds at most 2 x threads chunks submitted and not
+    yet folded, so memory does not grow with M.
+    """
+    if threads <= 1:
+        for c in todo:
+            yield c, _chunk_partials(config, c, children[c])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        submit = (ex.submit(_chunk_partials, config, c, children[c])
+                  for c in todo)
+        pending = deque(islice(submit, 2 * threads))
+        for c in todo:
+            yield c, pending.popleft().result()
+            pending.extend(islice(submit, 1))
 
 
 def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:

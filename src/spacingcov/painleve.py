@@ -26,7 +26,6 @@ real-axis values are recovered by a short vertical descent.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +169,15 @@ class _Series:
         return np.sum(self.coeffs / n * t[..., None] ** n, axis=-1)
 
 
-def _make_rhs(t_of_x, jacobian, branch_state):
+def _select_spp(t, s, sp, prev):
+    """The root sigma'' of (t s'')^2 = -f (f + 4 s'^2), f = t s' - s,
+    on the branch closer to the previously selected value ``prev``."""
+    f = t * sp - s
+    r = np.sqrt(-f * (f + 4.0 * sp * sp) + 0j) / t
+    return r if abs(r - prev) <= abs(-r - prev) else -r
+
+
+def _make_rhs(t_of_x, branch_state):
     """RHS of the first-order system (sigma, sigma', log_integral).
 
     sigma'' is the square root of -f (f + 4 sigma'^2)/t^2 whose branch is
@@ -182,10 +189,7 @@ def _make_rhs(t_of_x, jacobian, branch_state):
     def rhs(x, y):
         t = t_of_x(x)
         s, sp, _ = y
-        f = t * sp - s
-        r = np.sqrt(-f * (f + 4.0 * sp * sp) + 0j) / t
-        prev = branch_state["spp"]
-        spp = r if abs(r - prev) <= abs(-r - prev) else -r
+        spp = _select_spp(t, s, sp, branch_state["spp"])
         branch_state["spp"] = spp
         return np.array([sp, spp, s / t], dtype=complex)
 
@@ -208,57 +212,47 @@ def _rhs_third_order(x, y):
     return np.array([sp, spp, sppp, s / t], dtype=complex)
 
 
-class _Segment:
-    """Dense-output piece of the trajectory over [x_lo, x_hi] in path arclength."""
-
-    __slots__ = ("x_lo", "x_hi", "sol")
-
-    def __init__(self, x_lo, x_hi, sol):
-        self.x_lo = x_lo
-        self.x_hi = x_hi
-        self.sol = sol
-
-
 @dataclass
 class SigmaTrajectory:
     """sigma0 along a path in the t-plane, with its accumulated log-integral.
 
-    ``t_grid``/``sigma``/``sigma_prime``/``log_integral`` tabulate the
-    accepted integration steps (real positions along the horizontal part of
-    the path).  ``series_radius`` is the handoff point below which the
-    truncated power series is authoritative.
+    One representation: the truncated power series, authoritative up to
+    ``series_radius``, then a list of dense-output segments in path position
+    x (the path runs at Im t = ``elevation``), plus on a lifted path the
+    dense solution of the vertical lift t = series_radius + i tau.  Every
+    value is read from these pieces; ``t_grid`` lists the accepted
+    integration steps.
     """
 
     zeta: complex
     series_radius: float
     elevation: float                      # 0.0 for a real-axis path
-    t_grid: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    sigma: np.ndarray = field(default_factory=lambda: np.zeros(1, complex))
-    sigma_prime: np.ndarray = field(default_factory=lambda: np.zeros(1, complex))
-    log_integral: np.ndarray = field(default_factory=lambda: np.zeros(1, complex))
 
     _series: _Series | None = None
+    # dense-output pieces (scipy OdeSolution) over consecutive ranges of
+    # path position x, in order
     _segments: list = field(default_factory=list)
     _branch_state: dict = field(default_factory=dict)
     _vertical: object = None              # dense solution of the initial lift
     _config: SolverConfig = DEFAULT_CONFIG
-    _descent_cache: dict = field(default_factory=dict)
 
     # -- evaluation --------------------------------------------------------
-
-    @property
-    def _L_idx(self) -> int:
-        # real-axis segments carry [s, s', s'', L]; lifted ones [s, s', L]
-        return 2 if self.elevation else 3
+    # real-axis segments carry [s, s', s'', L], lifted ones [s, s', L]: the
+    # log-integral L is always the last state entry
 
     @property
     def t_max(self) -> float:
-        return self._segments[-1].x_hi if self._segments else self.series_radius
+        return self._segments[-1].t_max if self._segments else self.series_radius
 
-    def _segment_state(self, x: float) -> np.ndarray:
-        i = bisect.bisect_left([seg.x_hi for seg in self._segments], x)
-        i = min(i, len(self._segments) - 1)
-        return self._segments[i].sol(x)
+    @property
+    def t_grid(self) -> np.ndarray:
+        """0 followed by the end of every accepted integration step."""
+        return np.concatenate([[0.0]] + [seg.ts[1:] for seg in self._segments])
+
+    def _segment_index(self, x):
+        """Index of the segment covering path position(s) x."""
+        ends = [seg.t_max for seg in self._segments]
+        return np.minimum(np.searchsorted(ends, x), len(ends) - 1)
 
     def state_at(self, x: float) -> np.ndarray:
         """Solver state at path position x; the last entry is the
@@ -269,58 +263,52 @@ class SigmaTrajectory:
                 head.append(self._series.sigma_pp(x))
             return np.array(head + [self._series.log_integral(x)],
                             dtype=complex)
-        return self._segment_state(x)
+        return self._segments[self._segment_index(x)](x)
+
+    def _eval(self, x, row: int, series) -> np.ndarray:
+        """State entry ``row`` at path positions x: ``series`` up to the
+        series radius, one dense-output call per segment beyond it."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty(x.shape, dtype=complex)
+        small = x <= self.series_radius
+        out[small] = series(x[small])
+        big = np.nonzero(~small)[0]
+        seg = self._segment_index(x[big])
+        for i in np.unique(seg):
+            sel = big[seg == i]
+            out[sel] = self._segments[i](x[sel])[row]
+        return out
 
     def eval_log_integral(self, x) -> np.ndarray:
         """Log-integral at path positions x (vectorized)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape, dtype=complex)
-        small = x <= self.series_radius
-        if np.any(small):
-            out[small] = self._series.log_integral(x[small])
-        for i in np.nonzero(~small)[0]:
-            out[i] = self._segment_state(x[i])[self._L_idx]
-        return out
+        return self._eval(x, -1, self._series.log_integral)
 
     def eval_sigma(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape, dtype=complex)
-        small = x <= self.series_radius
-        if np.any(small):
-            out[small] = self._series.sigma(x[small])
-        for i in np.nonzero(~small)[0]:
-            out[i] = self._segment_state(x[i])[0]
-        return out
+        """sigma0 at path positions x (vectorized)."""
+        return self._eval(x, 0, self._series.sigma)
+
+    def vertical_log_integral(self, tau) -> np.ndarray:
+        """Log-integral along the initial lift t = t0 + i tau (lifted paths)."""
+        if self._vertical is None:
+            raise ValueError("trajectory has no vertical segment")
+        tau = np.atleast_1d(np.asarray(tau, dtype=float))
+        return self._vertical(tau)[-1]
 
     def log_integral_real_axis(self, lam: float) -> complex:
         """Log-integral at the real point t = lam, descending if lifted."""
-        if lam <= self.series_radius:
-            return complex(self._series.log_integral(lam))
-        if self.elevation == 0.0:
-            return complex(self._segment_state(lam)[self._L_idx])
-        key = round(lam, 12)
-        if key in self._descent_cache:
-            return self._descent_cache[key]
-        y = self._segment_state(lam)
-        branch = {"spp": self._branch_spp(lam, y)}
-        rhs = _make_rhs(lambda tau: lam + 1j * tau, 1j, branch)
+        y = self.state_at(lam)
+        if lam <= self.series_radius or not self.elevation:
+            return complex(y[-1])
+        branch = {"spp": _select_spp(lam + 1j * self.elevation, y[0], y[1],
+                                     self._branch_state["spp"])}
+        rhs = _make_rhs(lambda tau: lam + 1j * tau, branch)
         sol = solve_ivp(
             lambda tau, yy: 1j * rhs(tau, yy), (self.elevation, 0.0), y,
             method="DOP853", rtol=self._config.rtol, atol=self._config.atol)
         if not sol.success:
             raise SolverError(
                 f"descent to the real axis failed near t = {lam}", t_star=lam)
-        val = complex(sol.y[2, -1])
-        self._descent_cache[key] = val
-        return val
-
-    def _branch_spp(self, x, y):
-        t = x + 1j * self.elevation
-        s, sp, _ = y
-        f = t * sp - s
-        r = np.sqrt(-f * (f + 4.0 * sp * sp) + 0j) / t
-        prev = self._branch_state.get("spp", r)
-        return r if abs(r - prev) <= abs(-r - prev) else -r
+        return complex(sol.y[-1, -1])
 
     # -- residual diagnostics ---------------------------------------------
 
@@ -363,9 +351,11 @@ class SigmaTrajectory:
         if self.zeta == 0:
             return self
         x0 = self.t_max
-        y0 = self.state_at(x0) if self._segments else self._initial_state()
+        y0 = self.state_at(x0)
         if self.elevation:
-            rhs = _make_rhs(lambda x: x + 1j * self.elevation, 1.0,
+            if not self._segments:
+                y0 = self._lift(y0)
+            rhs = _make_rhs(lambda x: x + 1j * self.elevation,
                             self._branch_state)
         else:
             rhs = _rhs_third_order
@@ -382,42 +372,23 @@ class SigmaTrajectory:
             raise SolverError(
                 f"integration stalled at t = {sol.t[-1]:.6g} "
                 f"(omega-path for zeta = {self.zeta})", t_star=float(sol.t[-1]))
-        self._segments.append(_Segment(x0, t_max, sol.sol))
-        self.t_grid = np.concatenate([self.t_grid, sol.t[1:]])
-        self.sigma = np.concatenate([self.sigma, sol.y[0, 1:]])
-        self.sigma_prime = np.concatenate([self.sigma_prime, sol.y[1, 1:]])
-        self.log_integral = np.concatenate(
-            [self.log_integral, sol.y[self._L_idx, 1:]])
+        self._segments.append(sol.sol)
         return self
 
-    def _initial_state(self) -> np.ndarray:
-        ser = self._series
+    def _lift(self, y) -> np.ndarray:
+        """Carry the series state y at t0 = series_radius along the vertical
+        lift t = t0 + i tau up to the path; keeps the lift's dense solution."""
         t0 = self.series_radius
-        if not self.elevation:
-            return np.array([ser.sigma(t0), ser.sigma_prime(t0),
-                             ser.sigma_pp(t0), ser.log_integral(t0)],
-                            dtype=complex)
-        y = np.array([ser.sigma(t0), ser.sigma_prime(t0), ser.log_integral(t0)],
-                     dtype=complex)
-        self._branch_state["spp"] = complex(ser.sigma_pp(t0))
-        if self.elevation:
-            rhs = _make_rhs(lambda tau: t0 + 1j * tau, 1j, self._branch_state)
-            sol = solve_ivp(lambda tau, yy: 1j * rhs(tau, yy),
-                            (0.0, self.elevation), y, method="DOP853",
-                            rtol=self._config.rtol, atol=self._config.atol,
-                            dense_output=True)
-            if not sol.success:
-                raise SolverError("vertical lift failed", t_star=t0)
-            self._vertical = sol.sol
-            y = sol.y[:, -1]
-        return y
-
-    def vertical_log_integral(self, tau) -> np.ndarray:
-        """Log-integral along the initial lift t = t0 + i tau (lifted paths)."""
-        if self._vertical is None:
-            raise ValueError("trajectory has no vertical segment")
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return np.array([self._vertical(v)[2] for v in tau])
+        self._branch_state["spp"] = complex(self._series.sigma_pp(t0))
+        rhs = _make_rhs(lambda tau: t0 + 1j * tau, self._branch_state)
+        sol = solve_ivp(lambda tau, yy: 1j * rhs(tau, yy),
+                        (0.0, self.elevation), y, method="DOP853",
+                        rtol=self._config.rtol, atol=self._config.atol,
+                        dense_output=True)
+        if not sol.success:
+            raise SolverError("vertical lift failed", t_star=t0)
+        self._vertical = sol.sol
+        return sol.y[:, -1]
 
 
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
@@ -432,13 +403,8 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
         raise ValueError("t_max must be positive")
     z = _as_zeta(zeta)
     if z == 0:
-        traj = SigmaTrajectory(zeta=0j, series_radius=t_max, elevation=0.0)
-        traj._series = _Series(0j, config)
-        traj.t_grid = np.array([0.0, t_max])
-        traj.sigma = np.zeros(2, complex)
-        traj.sigma_prime = np.zeros(2, complex)
-        traj.log_integral = np.zeros(2, complex)
-        return traj
+        return SigmaTrajectory(zeta=0j, series_radius=t_max, elevation=0.0,
+                               _series=_Series(0j, config))
     if elevation is None:
         omega = _omega_of(z)
         elevation = (config.elevation
@@ -447,12 +413,7 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
     ser = _Series(z, config)
     traj = SigmaTrajectory(zeta=z, series_radius=ser.radius(config),
                            elevation=elevation, _series=ser, _config=config)
-    traj.t_grid = np.array([0.0])
-    traj.sigma = np.zeros(1, complex)
-    traj.sigma_prime = np.array([ser.coeffs[0]])
-    traj.log_integral = np.zeros(1, complex)
-    traj.extend(t_max)
-    return traj
+    return traj.extend(t_max)
 
 
 def _omega_of(z: complex) -> float | None:
@@ -463,35 +424,13 @@ def _omega_of(z: complex) -> float | None:
     return abs(w) if abs(w) > 0 else 0.0
 
 
-class TrajectoryCache:
-    """Trajectories keyed by zeta, extended monotonically on demand."""
-
-    def __init__(self, config: SolverConfig = DEFAULT_CONFIG):
-        self.config = config
-        self._store: dict = {}
-
-    def get(self, zeta, t_max: float) -> SigmaTrajectory:
-        z = _as_zeta(zeta)
-        key = (round(z.real, 15), round(z.imag, 15))
-        traj = self._store.get(key)
-        if traj is None:
-            traj = solve_sigma0(z, t_max, self.config)
-            self._store[key] = traj
-        elif traj.t_max < t_max:
-            traj.extend(t_max)
-        return traj
-
-    def clear(self):
-        self._store.clear()
-
-
-_GLOBAL_CACHE = TrajectoryCache()
-
-
 def log_generating_function(zeta, lam: float,
-                            config: SolverConfig = DEFAULT_CONFIG,
-                            cache: TrajectoryCache | None = None) -> complex:
-    """integral_0^lambda sigma0(t; zeta)/t dt at real lambda >= 0."""
+                            config: SolverConfig = DEFAULT_CONFIG) -> complex:
+    """integral_0^lambda sigma0(t; zeta)/t dt at real lambda >= 0.
+
+    Each call integrates afresh up to max(lambda, 1), so the value is a
+    function of (zeta, lambda, config) alone, whatever was asked before.
+    """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     if lam == 0:
@@ -499,16 +438,14 @@ def log_generating_function(zeta, lam: float,
     z = _as_zeta(zeta)
     if z == 0:
         return 0j
-    if cache is None:
-        cache = _GLOBAL_CACHE if config is DEFAULT_CONFIG else TrajectoryCache(config)
-    traj = cache.get(z, max(lam, 1.0))
-    return traj.log_integral_real_axis(lam)
+    return solve_sigma0(z, max(lam, 1.0), config).log_integral_real_axis(lam)
 
 
 def dump_trajectory_csv(traj: SigmaTrajectory, path):
-    """Debug dump: t, Re sigma, Im sigma, Re log-integral, Im log-integral."""
-    rows = np.column_stack([
-        traj.t_grid, traj.sigma.real, traj.sigma.imag,
-        traj.log_integral.real, traj.log_integral.imag])
+    """Debug dump: t, Re sigma, Im sigma, Re log-integral, Im log-integral
+    at the accepted integration steps."""
+    t = traj.t_grid
+    sigma, logint = traj.eval_sigma(t), traj.eval_log_integral(t)
+    rows = np.column_stack([t, sigma.real, sigma.imag, logint.real, logint.imag])
     np.savetxt(path, rows, delimiter=",",
                header="t,re_sigma,im_sigma,re_logint,im_logint", comments="")

@@ -26,8 +26,9 @@ interpolant of S(omega) used by the Fourier-inversion module.
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -317,14 +318,16 @@ class SpectrumInterpolant:
         edges.append(np.pi)
         if cache_path is None:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
+        # the file is keyed by everything that produced it (the edges follow
+        # from config.omega_min); any other file is rebuilt and overwritten
+        key = json.dumps(asdict(config), sort_keys=True)
         if cache_path and os.path.exists(cache_path):
-            data = np.load(cache_path, allow_pickle=False)
-            if (data["edges"].shape == (len(edges),)
-                    and np.allclose(data["edges"], edges)
-                    and int(data["nodes"]) == nodes
-                    and str(data["backend"]) == config.backend):
-                coeffs = [data[f"c{i}"] for i in range(len(edges) - 1)]
-                return cls(data["edges"], coeffs, omega_min, config.backend)
+            with np.load(cache_path, allow_pickle=False) as data:
+                if (str(data.get("config")) == key
+                        and int(data["nodes"]) == nodes):
+                    coeffs = [data[f"c{i}"] for i in range(len(edges) - 1)]
+                    return cls(np.array(edges), coeffs, omega_min,
+                               config.backend)
         coeffs = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             xc = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)  # Cheb pts
@@ -332,8 +335,7 @@ class SpectrumInterpolant:
             vals = np.array([power_spectrum(float(w), config)[0] for w in om])
             coeffs.append(np.polynomial.chebyshev.chebfit(xc, vals, nodes - 1))
         if cache_path:
-            payload = {"edges": np.array(edges), "nodes": nodes,
-                       "backend": config.backend}
+            payload = {"config": key, "nodes": nodes}
             for i, c in enumerate(coeffs):
                 payload[f"c{i}"] = c
             np.savez(cache_path, **payload)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spacingcov.fredholm import sine_kernel_det_auto
-from spacingcov.painleve import (SpectralParameter, TrajectoryCache,
-                                 log_generating_function, series_sigma0,
-                                 solve_sigma0)
+from spacingcov.painleve import (SpectralParameter, log_generating_function,
+                                 series_sigma0, solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,13 +79,14 @@ class TestSeries:
 class TestSolver:
     def test_zero_parameter_gives_zero_trajectory(self):
         traj = solve_sigma0(0.0, 10.0)
-        assert np.all(traj.sigma == 0)
-        assert np.all(traj.log_integral == 0)
+        x = np.linspace(0.0, 10.0, 11)
+        assert np.all(traj.eval_sigma(x) == 0)
+        assert np.all(traj.eval_log_integral(x) == 0)
 
     def test_boundary_values(self):
         traj = solve_sigma0(1.0, 5.0)
-        assert traj.sigma[0] == 0
-        assert traj.log_integral[0] == 0
+        assert traj.eval_sigma(0.0)[0] == 0
+        assert traj.eval_log_integral(0.0)[0] == 0
 
     def test_small_t_matches_two_term_expansion(self):
         traj = solve_sigma0(1.0, 5.0)
@@ -141,7 +141,36 @@ class TestSolver:
         path = tmp_path / "traj.csv"
         dump_trajectory_csv(traj, path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape[1] == 5
+        assert data.shape == (len(traj.t_grid), 5)
+
+    @pytest.mark.parametrize("omega, t_max", [(1.3, 30.0), (3.0, 20.0)],
+                             ids=["two_segments", "lifted"])
+    def test_vectorized_evaluators_match_pointwise(self, omega, t_max):
+        z = 1.0 - np.exp(1j * omega)
+        traj = solve_sigma0(z, 10.0).extend(t_max)
+        ends = [seg.t_max for seg in traj._segments]
+        x = np.concatenate([[0.0, 0.5 * traj.series_radius, traj.series_radius],
+                            ends, np.linspace(0.1, t_max, 41)])
+        x = np.random.default_rng(0).permutation(x)
+
+        def pointwise(row, series):
+            out = []
+            for xi in x:
+                if xi <= traj.series_radius:
+                    out.append(series(np.array([xi]))[0])
+                else:
+                    seg = next(s for s in traj._segments if xi <= s.t_max)
+                    out.append(seg(xi)[row])
+            return np.array(out)
+
+        assert np.array_equal(traj.eval_sigma(x),
+                              pointwise(0, traj._series.sigma))
+        assert np.array_equal(traj.eval_log_integral(x),
+                              pointwise(-1, traj._series.log_integral))
+        if traj.elevation:
+            tau = np.array([0.0, 0.3, 0.7 * traj.elevation, traj.elevation])
+            assert np.array_equal(traj.vertical_log_integral(tau),
+                                  [traj._vertical(v)[-1] for v in tau])
 
 
 class TestLogGeneratingFunction:
@@ -163,11 +192,11 @@ class TestLogGeneratingFunction:
             det = sine_kernel_det_auto(z, lam / TWO_PI)
             assert abs(np.exp(L) - det) < 1e-8
 
-    def test_cache_extension(self):
-        cache = TrajectoryCache()
-        z = 1.0 - np.exp(1j * 0.9)
-        a = log_generating_function(z, 5.0, cache=cache)
-        log_generating_function(z, 25.0, cache=cache)
-        b = log_generating_function(z, 5.0, cache=cache)
-        assert a == b
-        assert len(cache._store) == 1
+    @pytest.mark.parametrize("omega", [0.9, 3.0], ids=["real", "lifted"])
+    def test_history_independence(self, omega):
+        # a smaller lambda asked for first at the same zeta must not change
+        # the value: every call integrates afresh
+        z = 1.0 - np.exp(1j * omega)
+        log_generating_function(z, 1.0)
+        L = log_generating_function(z, 5.0)
+        assert L == solve_sigma0(z, 5.0).log_integral_real_axis(5.0)

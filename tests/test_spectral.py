@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
+from spacingcov import spectral
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
-                                 eig_spectrum_from_sp, power_spectrum,
-                                 power_spectrum_small_omega,
+                                 SpectrumInterpolant, eig_spectrum_from_sp,
+                                 power_spectrum, power_spectrum_small_omega,
                                  spacing_distribution)
 
 TWO_PI = 2.0 * np.pi
@@ -200,3 +201,29 @@ class TestInterpolant:
 
         expect = np.array([pointwise(float(w)) for w in omegas])
         assert np.array_equal(interp(omegas), expect)
+
+    def test_cache_file_keyed_by_config_and_nodes(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_stub(omega, config=spectral.DEFAULT_SPECTRUM_CONFIG):
+            calls.append(omega)
+            return omega * config.n_panels, 0.0
+
+        monkeypatch.setattr(spectral, "power_spectrum", counting_stub)
+        path = str(tmp_path / "spectrum.npz")
+
+        def build(config=spectral.DEFAULT_SPECTRUM_CONFIG, nodes=4):
+            calls.clear()
+            return SpectrumInterpolant.build(config, nodes=nodes,
+                                             cache_path=path)
+
+        build(SpectrumConfig(n_panels=48))
+        assert calls
+        fresh = build()                     # other n_panels: rebuilt
+        assert calls
+        cached = build()                    # matching file: reused
+        assert calls == []
+        for a, b in zip(fresh.coeffs, cached.coeffs):
+            assert np.array_equal(a, b)
+        build(nodes=5)                      # other node count: rebuilt
+        assert calls
