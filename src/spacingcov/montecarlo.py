@@ -14,13 +14,11 @@ Chunk RNG streams are spawned from one seed, so results are bit-identical
 for a given config regardless of thread count, and a checkpoint of the
 partial sums makes runs resumable.
 
-Samplers: dense QR of a complex Ginibre matrix with the phase correction
-(exact Haar), and a pentadiagonal CMV-matrix route whose banded
-eigensolves are an order of magnitude faster at N = 256.  Eigenangles of
-the CMV matrix C are decoded from two Hermitian banded problems: the
-spectra of C + C^H and of C + C^H + eps (C - C^H)/i give 2 cos(theta) and
-2 cos(theta) + 2 eps sin(theta) on matching (sorted) positions, since the
-two matrices commute.
+Samplers: dense QR of a complex Ginibre matrix with the phase correction,
+and the Killip-Nenciu CMV model, both exact Haar; the CMV route is an order
+of magnitude faster at N = 256.  It takes cos(theta) from one banded
+eigensolve of C + C^H, built in O(N) from the Verblunsky coefficients, and
+the sign of sin(theta) from the Szego recursion (see ``_szego_angles``).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -37,7 +35,6 @@ from scipy.stats import norm
 
 TWO_PI = 2.0 * np.pi
 C_99 = 2.5758                      # 99% two-sided normal quantile
-_DECODE_EPS = 1e-5
 
 
 class CheckpointMismatch(RuntimeError):
@@ -75,9 +72,7 @@ class MCConfig:
         return lo, min(lo + self.chunk_size, self.M)
 
     def key(self) -> str:
-        return json.dumps({"N": self.N, "M": self.M, "seed": self.seed,
-                           "k_max": self.k_max, "sampler": self.sampler,
-                           "chunk_size": self.chunk_size, "lead": self.lead})
+        return json.dumps(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -91,59 +86,71 @@ def _sample_qr_haar(N: int, rng) -> np.ndarray:
     return np.sort(np.mod(np.angle(np.linalg.eigvals(Q)), TWO_PI))
 
 
-def _cmv_matrix(N: int, rng) -> np.ndarray:
-    """Pentadiagonal CMV matrix of a Haar unitary, from Verblunsky
-    coefficients alpha_k with |alpha_k|^2 ~ Beta(1, N - 1 - k)."""
-    k = np.arange(N - 1)
-    radii = np.sqrt(rng.beta(np.ones(N - 1), (N - 1 - k).astype(float)))
-    phases = np.exp(1j * TWO_PI * rng.random(N))
-    alpha = np.empty(N, dtype=complex)
-    alpha[:-1] = radii * phases[:-1]
-    alpha[-1] = phases[-1]
-    rho = np.sqrt(np.clip(1.0 - np.abs(alpha) ** 2, 0.0, None))
+def _cmv_matrix(alpha: np.ndarray) -> np.ndarray:
+    """K = C + C^H for the CMV matrix C = L M of alpha, in the upper banded
+    storage of ``eig_banded`` (rows: second superdiagonal, first, diagonal).
 
-    def theta_block(j):
-        return np.array([[np.conj(alpha[j]), rho[j]],
-                         [rho[j], -alpha[j]]])
-
-    L = np.zeros((N, N), dtype=complex)
-    Mm = np.zeros((N, N), dtype=complex)
-    j = 0
-    while j < N:                   # L carries even-index blocks
-        if j == N - 1:
-            L[j, j] = np.conj(alpha[j])
-        else:
-            L[j:j + 2, j:j + 2] = theta_block(j)
-        j += 2
-    Mm[0, 0] = 1.0
-    j = 1
-    while j < N:                   # M carries odd-index blocks
-        if j == N - 1:
-            Mm[j, j] = np.conj(alpha[j])
-        else:
-            Mm[j:j + 2, j:j + 2] = theta_block(j)
-        j += 2
-    return L @ Mm
-
-
-def _upper_bands(A: np.ndarray, bw: int) -> np.ndarray:
-    n = A.shape[0]
-    ab = np.zeros((bw + 1, n), dtype=complex)
-    for d in range(bw + 1):
-        ab[bw - d, d:] = np.diagonal(A, d)
+    With alpha_{-1} = -1 and rho_j = sqrt(1 - |alpha_j|^2), the 2 x 2 blocks
+    [[conj(alpha_j), rho_j], [rho_j, -alpha_j]] of L (even j) and M (odd j)
+    multiply out to
+        K[j, j]     = -2 Re(conj(alpha_j) alpha_{j-1}),
+        K[j, j + 1] = rho_j (alpha_{j+1} - alpha_{j-1}), conjugated for even j,
+        K[j, j + 2] = rho_j rho_{j+1}.
+    """
+    prev = np.concatenate(([-1.0], alpha[:-1]))
+    rho = np.sqrt(np.clip(1.0 - np.abs(alpha[:-1]) ** 2, 0.0, None))
+    d = alpha[1:] - prev[:-1]
+    d[::2] = d[::2].conj()
+    ab = np.zeros((3, alpha.size), dtype=complex)
+    ab[0, 2:] = rho[:-1] * rho[1:]
+    ab[1, 1:] = rho * d
+    ab[2] = -2.0 * (alpha.conj() * prev).real
     return ab
 
 
+def _szego_angles(alpha: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """Eigenangles of the CMV matrix of alpha, given their cosines.
+
+    The eigenvalues are the points of |z| = 1 where the phase
+    F = arg(alpha_{N-1} z Phi_{N-1} / Phi*_{N-1}) vanishes (the zeros of
+    Phi_N).  The Szego recursion Phi_{n+1} = z Phi_n - conj(alpha_n) Phi*_n,
+    Phi*_{n+1} = Phi*_n - alpha_n z Phi_n, Phi_0 = Phi*_0 = 1, runs on both
+    candidates theta = +-arccos c of every cosine at once, with -i d/dtheta
+    of both polynomials.  Each angle is the candidate of smaller |F| after
+    one Newton step theta - F / F' (F' >= 1: F is the phase of a Blaschke
+    product); the step removes the arccos error, up to 1e-8 near 0 and pi.
+    """
+    N = alpha.size
+    n = 2 * N
+    half = np.arccos(np.clip(cosines, -1.0, 1.0))
+    theta = np.concatenate((half, -half))
+    z = np.exp(1j * theta)
+    zz = np.concatenate((z, z))
+    # row 0: Phi and -i dPhi/dtheta side by side; row 1: Phi* likewise
+    Y = np.zeros((2, 2 * n), dtype=complex)
+    Y[:, :n] = 1.0
+    T = np.ones((N - 1, 2, 2), dtype=complex)
+    T[:, 0, 1] = -alpha[:-1].conj()
+    T[:, 1, 0] = -alpha[:-1]
+    for T_n in T:
+        Y[0, n:] += Y[0, :n]          # -i d(z Phi)/dtheta = z (Phi - i dPhi)
+        Y[0] *= zz
+        Y = T_n @ Y
+    phi, d_phi, phi_star, d_phi_star = Y[0, :n], Y[0, n:], Y[1, :n], Y[1, n:]
+    F = np.angle(alpha[-1] * z * phi / phi_star)
+    dF = 1.0 + (d_phi / phi - d_phi_star / phi_star).real
+    j = np.arange(N) + N * (np.abs(F[N:]) < np.abs(F[:N]))
+    return theta[j] - F[j] / dF[j]
+
+
 def _sample_sparse_cmv(N: int, rng) -> np.ndarray:
-    C = _cmv_matrix(N, rng)
-    K = C + C.conj().T
-    B = (C - C.conj().T) / 1j
-    a = eig_banded(_upper_bands(K, 2), lower=False, eigvals_only=True)
-    b = eig_banded(_upper_bands(K + _DECODE_EPS * B, 2), lower=False,
-                   eigvals_only=True)
-    sin_t = (b - a) / (2.0 * _DECODE_EPS)
-    theta = np.mod(np.arctan2(sin_t, 0.5 * a), TWO_PI)
-    return np.sort(theta)
+    # Killip-Nenciu Verblunsky coefficients of a Haar unitary:
+    # |alpha_k|^2 ~ Beta(1, N - 1 - k), |alpha_{N-1}| = 1, uniform phases
+    radii = np.sqrt(rng.beta(np.ones(N - 1), np.arange(N - 1, 0, -1.0)))
+    alpha = np.exp(1j * TWO_PI * rng.random(N))
+    alpha[:-1] *= radii
+    two_cos = eig_banded(_cmv_matrix(alpha), lower=False, eigvals_only=True)
+    return np.sort(np.mod(_szego_angles(alpha, 0.5 * two_cos), TWO_PI))
 
 
 _SAMPLERS = {"qr_haar": _sample_qr_haar, "sparse_cmv": _sample_sparse_cmv}
@@ -248,7 +255,6 @@ class _Accumulators:
     sum_s: np.ndarray                       # (N-1,)
     cross: np.ndarray                       # (N-1, N-1): sum of outer(s, s)
     prod_sq: list                           # per k: (n_k, n_k) fourth moments
-    chunk_lead_sum: np.ndarray              # (n_chunks, L)
     chunk_lead_cross: np.ndarray            # (n_chunks, L, L)
     next_chunk: int = 0
 
@@ -259,7 +265,6 @@ class _Accumulators:
         return cls(
             np.zeros(n), np.zeros((n, n)),
             [np.zeros((n - k, n - k)) for k in range(config.k_max + 1)],
-            np.zeros((config.n_chunks, L)),
             np.zeros((config.n_chunks, L, L)))
 
 
@@ -276,17 +281,15 @@ def _chunk_partials(config: MCConfig, c: int, child_seed):
         n_k = config.N - 1 - k
         P = R[:, :n_k] * R[:, k:]
         prod_sq.append(P.T @ P)
-    return (R.sum(axis=0), R.T @ R, prod_sq,
-            R[:, :L].sum(axis=0), R[:, :L].T @ R[:, :L])
+    return R.sum(axis=0), R.T @ R, prod_sq, R[:, :L].T @ R[:, :L]
 
 
 def _fold(acc: _Accumulators, c: int, partials):
-    sum_s, cross, prod_sq, lead_sum, lead_cross = partials
+    sum_s, cross, prod_sq, lead_cross = partials
     acc.sum_s += sum_s
     acc.cross += cross
     for k, m in enumerate(prod_sq):
         acc.prod_sq[k] += m
-    acc.chunk_lead_sum[c] = lead_sum
     acc.chunk_lead_cross[c] = lead_cross
     acc.next_chunk = c + 1
 
@@ -299,7 +302,6 @@ class MCRunResult:
     delta: np.ndarray                       # per-position mean raw spacing
     estimate: MCEstimate
     cov: np.ndarray                         # unfolded spacing covariances
-    _chunk_lead_sum: np.ndarray = field(repr=False, default=None)
     _chunk_lead_cross: np.ndarray = field(repr=False, default=None)
 
     def var_lambda(self, k: int) -> float:
@@ -313,7 +315,7 @@ class MCRunResult:
 
         Half-width at 99% from batch means over the run's chunks.
         """
-        L = self._chunk_lead_sum.shape[1]
+        L = self._chunk_lead_cross.shape[1]
         if not (2 <= k <= L - 2):
             raise ValueError("k out of range for the stored leading window")
         per_chunk = self._chunk_second_diffs(k)
@@ -322,7 +324,7 @@ class MCRunResult:
 
     def _chunk_second_diffs(self, k: int) -> np.ndarray:
         B = self.config.chunk_size
-        d = self.delta[:self._chunk_lead_sum.shape[1]]
+        d = self.delta[:self._chunk_lead_cross.shape[1]]
         scale = np.outer(d, d)
         out = np.empty(self._chunk_lead_cross.shape[0])
         for c in range(out.size):
@@ -335,12 +337,11 @@ class MCRunResult:
 def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
         threads: int = 1, checkpoint_every: int = 50) -> MCRunResult:
     """Execute (or resume) a full streaming Monte Carlo run."""
-    acc = None
     if resume:
         if not (checkpoint_path and os.path.exists(checkpoint_path)):
             raise CheckpointMismatch("no checkpoint to resume from")
         acc = _load_checkpoint(checkpoint_path, config)
-    if acc is None:
+    else:
         acc = _Accumulators.fresh(config)
     children = np.random.SeedSequence(config.seed).spawn(config.n_chunks)
     todo = range(acc.next_chunk, config.n_chunks)
@@ -394,37 +395,35 @@ def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:
         stds[k] = np.sqrt(var)
     half = C_99 * stds / np.sqrt(M)
     est = MCEstimate(values, stds, half, N, M, config.seed)
-    return MCRunResult(config, delta, est, cov,
-                       acc.chunk_lead_sum, acc.chunk_lead_cross)
+    return MCRunResult(config, delta, est, cov, acc.chunk_lead_cross)
 
 
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2       # 2: Szego-phase decoder, no per-chunk lead sums
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):
     payload = {"version": _CKPT_VERSION, "config": config.key(),
                "next_chunk": acc.next_chunk, "sum_s": acc.sum_s,
-               "cross": acc.cross, "chunk_lead_sum": acc.chunk_lead_sum,
-               "chunk_lead_cross": acc.chunk_lead_cross}
+               "cross": acc.cross, "chunk_lead_cross": acc.chunk_lead_cross}
     for k, m in enumerate(acc.prod_sq):
         payload[f"prod_sq_{k}"] = m
-    tmp = str(path) + ".tmp"
+    tmp = str(path) + ".tmp.npz"     # np.savez appends .npz to other names
     np.savez(tmp, **payload)
-    os.replace(tmp + ".npz" if not tmp.endswith(".npz") else tmp, path)
+    os.replace(tmp, path)
 
 
 def _load_checkpoint(path, config: MCConfig) -> _Accumulators:
-    data = np.load(path, allow_pickle=False)
-    if int(data["version"]) != _CKPT_VERSION:
-        raise CheckpointMismatch("unsupported checkpoint version")
-    if str(data["config"]) != config.key():
-        raise CheckpointMismatch(
-            "checkpoint was produced by a different configuration")
-    return _Accumulators(
-        data["sum_s"].copy(), data["cross"].copy(),
-        [data[f"prod_sq_{k}"].copy() for k in range(config.k_max + 1)],
-        data["chunk_lead_sum"].copy(), data["chunk_lead_cross"].copy(),
-        int(data["next_chunk"]))
+    with np.load(path, allow_pickle=False) as data:
+        if int(data["version"]) != _CKPT_VERSION:
+            raise CheckpointMismatch("unsupported checkpoint version")
+        if str(data["config"]) != config.key():
+            raise CheckpointMismatch(
+                "checkpoint was produced by a different configuration")
+        # every item read from the archive is a fresh array
+        return _Accumulators(
+            data["sum_s"], data["cross"],
+            [data[f"prod_sq_{k}"] for k in range(config.k_max + 1)],
+            data["chunk_lead_cross"], int(data["next_chunk"]))
 
 
 # ---------------------------------------------------------------------------

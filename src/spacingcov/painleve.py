@@ -43,10 +43,6 @@ class SolverError(RuntimeError):
         self.t_star = t_star
 
 
-class BranchTrackingError(SolverError):
-    """The sigma'' square-root branch could not be resolved."""
-
-
 @dataclass(frozen=True)
 class SpectralParameter:
     """Point zeta = 1 - e^{i omega} on the circle |1 - zeta| = 1."""
@@ -74,7 +70,6 @@ class SolverConfig:
     series_rtol: float = 1e-14     # last retained series term vs partial sum
     rtol: float = 1e-12
     atol: float = 1e-13
-    residual_tol: float = 1e-9     # ODE residual relative to max(1, |sigma|^2)
     elevation_omega: float = 2.9   # lift the path for omega beyond this
     elevation: float = 1.0         # Im t of the lifted path
 

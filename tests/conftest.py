@@ -6,6 +6,7 @@ only skips the quadrature).
 """
 
 import os
+import warnings
 
 import pytest
 
@@ -49,10 +50,16 @@ def mc_acceptance_run():
 
     The checkpoint lives next to the spectrum cache so repeated sessions
     resume instead of re-sampling; the statistics are identical either way.
+    A checkpoint of another configuration or checkpoint version (sums from
+    an earlier sampler) is refused and replaced by a fresh run.
     """
     ck = os.path.join(os.path.dirname(_CACHE), "mc_acceptance.npz")
-    return mc.run(ACCEPTANCE_MC, checkpoint_path=ck,
-                  resume=os.path.exists(ck))
+    if os.path.exists(ck):
+        try:
+            return mc.run(ACCEPTANCE_MC, checkpoint_path=ck, resume=True)
+        except mc.CheckpointMismatch as exc:
+            warnings.warn(f"refusing {ck} ({exc}); starting a fresh run")
+    return mc.run(ACCEPTANCE_MC, checkpoint_path=ck)
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,49 @@ class TestSampling:
         assert np.allclose(total, TWO_PI, atol=1e-12)
 
 
+def _verblunsky(N, rng):
+    # the sparse_cmv sampler's draws, in its order: N - 1 Beta radii, then
+    # N uniform phases
+    k = np.arange(N - 1)
+    radii = np.sqrt(rng.beta(np.ones(N - 1), (N - 1 - k).astype(float)))
+    alpha = np.exp(1j * TWO_PI * rng.random(N))
+    alpha[:-1] *= radii
+    return alpha
+
+
+def _dense_cmv(alpha):
+    """C = L M with the 2 x 2 blocks [[conj(a_j), rho_j], [rho_j, -a_j]] on
+    even j in L and odd j in M (1 x 1 conj(a_j) at j = N - 1, M[0, 0] = 1)."""
+    N = alpha.size
+    L = np.zeros((N, N), dtype=complex)
+    M = np.zeros((N, N), dtype=complex)
+    M[0, 0] = 1.0
+    for j in range(N):
+        F = L if j % 2 == 0 else M
+        if j == N - 1:
+            F[j, j] = np.conj(alpha[j])
+        else:
+            rho = np.sqrt(1.0 - abs(alpha[j]) ** 2)
+            F[j:j + 2, j:j + 2] = [[np.conj(alpha[j]), rho],
+                                   [rho, -alpha[j]]]
+    return L @ M
+
+
+class TestSparseCMVDecoder:
+    @pytest.mark.parametrize("N, seeds", [(256, 500), (255, 50), (64, 200),
+                                          (17, 200), (5, 200), (4, 200),
+                                          (3, 200), (2, 200)])
+    def test_matches_dense_eigenvalues(self, N, seeds):
+        worst = 0.0
+        for seed in range(seeds):
+            C = _dense_cmv(_verblunsky(N, _rng(seed)))
+            ref = np.sort(np.mod(np.angle(np.linalg.eigvals(C)), TWO_PI))
+            got = sample_cue_eigenangles(N, _rng(seed), "sparse_cmv")
+            err = np.abs(np.angle(np.exp(1j * (got - ref))))   # on the circle
+            worst = max(worst, err.max())
+        assert worst < 1e-9
+
+
 class TestUnfold:
     def test_mean_one_by_construction(self):
         batch = CueBatch.generate(16, 200, _rng(5))
@@ -224,13 +267,18 @@ class TestStreamingRun:
         assert np.array_equal(full.estimate.values, resumed.estimate.values)
         assert np.array_equal(full.cov, resumed.cov)
 
-    def test_checkpoint_config_mismatch(self, tmp_path):
+    def test_checkpoint_config_mismatch(self, tmp_path, monkeypatch):
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
-        ck = str(tmp_path / "ck.npz")
-        mc.run(cfg, checkpoint_path=ck)
         other = MCConfig(N=24, M=400, seed=2, k_max=3, chunk_size=200, lead=12)
-        with pytest.raises(CheckpointMismatch):
-            mc.run(other, checkpoint_path=ck, resume=True)
+        # written by another configuration, or by this one under the first
+        # checkpoint version (sums from the earlier sampler)
+        for written_by, version in ((other, mc._CKPT_VERSION), (cfg, 1)):
+            ck = str(tmp_path / f"ck_{written_by.seed}_{version}.npz")
+            monkeypatch.setattr(mc, "_CKPT_VERSION", version)
+            mc.run(written_by, checkpoint_path=ck)
+            monkeypatch.undo()
+            with pytest.raises(CheckpointMismatch):
+                mc.run(cfg, checkpoint_path=ck, resume=True)
 
     def test_resume_without_checkpoint(self, tmp_path):
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
