@@ -15,10 +15,14 @@ for a given config regardless of thread count, and a checkpoint of the
 partial sums makes runs resumable.
 
 Samplers: dense QR of a complex Ginibre matrix with the phase correction,
-and the Killip-Nenciu CMV model, both exact Haar; the CMV route is an order
-of magnitude faster at N = 256.  It takes cos(theta) from one banded
-eigensolve of C + C^H, built in O(N) from the Verblunsky coefficients, and
-the sign of sin(theta) from the Szego recursion (see ``_szego_angles``).
+and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
+thirty times faster at N = 256.  Each sampler draws a whole block of
+samples in one call.  The CMV sampler takes cos(theta) of each sample from
+one banded eigensolve of C + C^H, built in O(N) from the Verblunsky
+coefficients, and then decodes fixed blocks of samples at once: one Szego
+recursion with a single complex state per candidate angle gives the sign
+of sin(theta), and the Christoffel-Darboux sum the slope of one Newton
+step (see ``_szego_phase`` and ``_szego_angles``).
 """
 
 from __future__ import annotations
@@ -76,14 +80,21 @@ class MCConfig:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: (N, count, rng) -> (count, N) sorted eigenangles in [0, 2 pi)
 
-def _sample_qr_haar(N: int, rng) -> np.ndarray:
-    Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    Q = Q * (d / np.abs(d))
-    return np.sort(np.mod(np.angle(np.linalg.eigvals(Q)), TWO_PI))
+_DECODE_BLOCK = 32      # samples decoded together: at N = 256 the (32, 2N)
+                        # recursion state stays in cache
+
+
+def _sample_qr_haar(N: int, count: int, rng) -> np.ndarray:
+    out = np.empty((count, N))
+    for row in out:
+        Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        Q, R = np.linalg.qr(Z)
+        d = np.diagonal(R)
+        Q = Q * (d / np.abs(d))
+        row[:] = np.angle(np.linalg.eigvals(Q))
+    return np.sort(np.mod(out, TWO_PI), axis=1)
 
 
 def _cmv_matrix(alpha: np.ndarray) -> np.ndarray:
@@ -108,59 +119,89 @@ def _cmv_matrix(alpha: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _szego_angles(alpha: np.ndarray, cosines: np.ndarray) -> np.ndarray:
-    """Eigenangles of the CMV matrix of alpha, given their cosines.
+def _szego_phase(alpha: np.ndarray, theta: np.ndarray):
+    """(F, dF/dtheta) at the angles theta (B, m) for the rows of alpha (B, N).
 
-    The eigenvalues are the points of |z| = 1 where the phase
-    F = arg(alpha_{N-1} z Phi_{N-1} / Phi*_{N-1}) vanishes (the zeros of
-    Phi_N).  The Szego recursion Phi_{n+1} = z Phi_n - conj(alpha_n) Phi*_n,
-    Phi*_{n+1} = Phi*_n - alpha_n z Phi_n, Phi_0 = Phi*_0 = 1, runs on both
-    candidates theta = +-arccos c of every cosine at once, with -i d/dtheta
-    of both polynomials.  Each angle is the candidate of smaller |F| after
-    one Newton step theta - F / F' (F' >= 1: F is the phase of a Blaschke
-    product); the step removes the arccos error, up to 1e-8 near 0 and pi.
+    F = arg(alpha_{N-1} z Phi_{N-1} / Phi*_{N-1}) at z = e^{i theta}, where
+    Phi_n are the monic orthogonal polynomials of alpha.  On |z| = 1,
+    Phi*_n = z^n conj(Phi_n), so u_n = z^{-n/2} Phi_n carries the Szego
+    recursion alone:
+        u_{n+1} = p - conj(alpha_n) conj(p),  p = w u_n,  w = e^{i theta/2},
+    from u_0 = 1, and F = arg(alpha_{N-1} (w u_{N-1})^2).  The slope is the
+    Christoffel-Darboux sum
+        F' = sum_{k<N} |u_k|^2 / ||Phi_k||^2 / (|u_{N-1}|^2 / ||Phi_{N-1}||^2),
+    ||Phi_k||^2 = prod_{j<k} (1 - |alpha_j|^2), accumulated Horner-wise along
+    the recursion; F' >= 1 (F is the phase of a Blaschke product).
     """
-    N = alpha.size
-    n = 2 * N
+    w = np.exp(0.5j * theta)
+    u = np.ones_like(w)
+    cd = np.ones(theta.shape)
+    a = alpha[:, :-1]
+    rho2 = 1.0 - (a.real ** 2 + a.imag ** 2)
+    # step n reads column n of each as a contiguous (B, 1) block
+    conj_a = np.ascontiguousarray(a.conj().T[:, :, None])
+    rho2 = np.ascontiguousarray(rho2.T[:, :, None])
+    for a_n, r_n in zip(conj_a, rho2):
+        p = w * u
+        u = p - a_n * p.conj()
+        cd = cd * r_n + (u.real ** 2 + u.imag ** 2)
+    F = np.angle(alpha[:, -1:] * (w * u) ** 2)
+    return F, cd / (u.real ** 2 + u.imag ** 2)
+
+
+def _szego_angles(alpha: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """Eigenangles of the CMV matrices of the rows of alpha (B, N), given
+    their cosines (B, N).
+
+    The eigenvalues are the zeros of Phi_N: the points of |z| = 1 where the
+    phase F of ``_szego_phase`` vanishes.  Both candidates +-arccos c of
+    every cosine go through one recursion; each angle is the candidate of
+    smaller |F| after one Newton step theta - F / F', which removes the
+    arccos error (up to 1e-8 near 0 and pi).  Rows are independent: a block
+    decodes to the same angles as its rows one at a time.
+    """
+    N = alpha.shape[1]
     half = np.arccos(np.clip(cosines, -1.0, 1.0))
-    theta = np.concatenate((half, -half))
-    z = np.exp(1j * theta)
-    zz = np.concatenate((z, z))
-    # row 0: Phi and -i dPhi/dtheta side by side; row 1: Phi* likewise
-    Y = np.zeros((2, 2 * n), dtype=complex)
-    Y[:, :n] = 1.0
-    T = np.ones((N - 1, 2, 2), dtype=complex)
-    T[:, 0, 1] = -alpha[:-1].conj()
-    T[:, 1, 0] = -alpha[:-1]
-    for T_n in T:
-        Y[0, n:] += Y[0, :n]          # -i d(z Phi)/dtheta = z (Phi - i dPhi)
-        Y[0] *= zz
-        Y = T_n @ Y
-    phi, d_phi, phi_star, d_phi_star = Y[0, :n], Y[0, n:], Y[1, :n], Y[1, n:]
-    F = np.angle(alpha[-1] * z * phi / phi_star)
-    dF = 1.0 + (d_phi / phi - d_phi_star / phi_star).real
-    j = np.arange(N) + N * (np.abs(F[N:]) < np.abs(F[:N]))
-    return theta[j] - F[j] / dF[j]
+    theta = np.concatenate((half, -half), axis=1)
+    F, dF = _szego_phase(alpha, theta)
+    j = np.arange(N) + N * (np.abs(F[:, N:]) < np.abs(F[:, :N]))
+    return np.take_along_axis(theta - F / dF, j, axis=1)
 
 
-def _sample_sparse_cmv(N: int, rng) -> np.ndarray:
+def _verblunsky(N: int, rng) -> np.ndarray:
     # Killip-Nenciu Verblunsky coefficients of a Haar unitary:
     # |alpha_k|^2 ~ Beta(1, N - 1 - k), |alpha_{N-1}| = 1, uniform phases
     radii = np.sqrt(rng.beta(np.ones(N - 1), np.arange(N - 1, 0, -1.0)))
     alpha = np.exp(1j * TWO_PI * rng.random(N))
     alpha[:-1] *= radii
-    two_cos = eig_banded(_cmv_matrix(alpha), lower=False, eigvals_only=True)
-    return np.sort(np.mod(_szego_angles(alpha, 0.5 * two_cos), TWO_PI))
+    return alpha
+
+
+def _sample_sparse_cmv(N: int, count: int, rng) -> np.ndarray:
+    # per sample: draw alpha, one banded eigensolve for cos(theta); then
+    # decode block by block, so a chunk's alpha is never held whole
+    out = np.empty((count, N))
+    for lo in range(0, count, _DECODE_BLOCK):
+        alpha = np.array([_verblunsky(N, rng)
+                          for _ in range(min(_DECODE_BLOCK, count - lo))])
+        two_cos = np.array([eig_banded(_cmv_matrix(a), lower=False,
+                                       eigvals_only=True) for a in alpha])
+        out[lo:lo + len(alpha)] = _szego_angles(alpha, 0.5 * two_cos)
+    return np.sort(np.mod(out, TWO_PI), axis=1)
 
 
 _SAMPLERS = {"qr_haar": _sample_qr_haar, "sparse_cmv": _sample_sparse_cmv}
 
 
-def sample_cue_eigenangles(N: int, rng, sampler: str = "qr_haar") -> np.ndarray:
-    """One sorted CUE(N) eigenangle sample in [0, 2 pi)."""
+def _sample(N: int, count: int, rng, sampler: str) -> np.ndarray:
     if N < 2:
         raise ValueError("N must be >= 2")
-    return _SAMPLERS[sampler](N, rng)
+    return _SAMPLERS[sampler](N, count, rng)
+
+
+def sample_cue_eigenangles(N: int, rng, sampler: str = "qr_haar") -> np.ndarray:
+    """One sorted CUE(N) eigenangle sample in [0, 2 pi)."""
+    return _sample(N, 1, rng, sampler)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +217,7 @@ class CueBatch:
 
     @classmethod
     def generate(cls, N: int, M: int, rng, sampler: str = "qr_haar"):
-        ang = np.array([sample_cue_eigenangles(N, rng, sampler)
-                        for _ in range(M)])
+        ang = _sample(N, M, rng, sampler)
         return cls(ang, np.diff(ang, axis=1))
 
 
@@ -271,10 +311,7 @@ class _Accumulators:
 def _chunk_partials(config: MCConfig, c: int, child_seed):
     rng = np.random.Generator(np.random.Philox(child_seed))
     lo, hi = config.chunk_bounds(c)
-    sampler = _SAMPLERS[config.sampler]
-    R = np.empty((hi - lo, config.N - 1))
-    for i in range(hi - lo):
-        R[i] = np.diff(sampler(config.N, rng))
+    R = np.diff(_SAMPLERS[config.sampler](config.N, hi - lo, rng), axis=1)
     L = min(config.lead, config.N - 1)
     prod_sq = []
     for k in range(config.k_max + 1):
@@ -323,12 +360,12 @@ class MCRunResult:
         return float(est.values[0]), float(est.half_widths[0])
 
     def _chunk_second_diffs(self, k: int) -> np.ndarray:
-        B = self.config.chunk_size
         d = self.delta[:self._chunk_lead_cross.shape[1]]
         scale = np.outer(d, d)
         out = np.empty(self._chunk_lead_cross.shape[0])
         for c in range(out.size):
-            C = self._chunk_lead_cross[c] / B / scale - 1.0
+            lo, hi = self.config.chunk_bounds(c)     # the last may be short
+            C = self._chunk_lead_cross[c] / (hi - lo) / scale - 1.0
             out[c] = 0.5 * (C[:k + 1, :k + 1].sum() - 2.0 * C[:k, :k].sum()
                             + C[:k - 1, :k - 1].sum())
         return out
@@ -337,6 +374,8 @@ class MCRunResult:
 def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
         threads: int = 1, checkpoint_every: int = 50) -> MCRunResult:
     """Execute (or resume) a full streaming Monte Carlo run."""
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
     if resume:
         if not (checkpoint_path and os.path.exists(checkpoint_path)):
             raise CheckpointMismatch("no checkpoint to resume from")
@@ -398,7 +437,7 @@ def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:
     return MCRunResult(config, delta, est, cov, acc.chunk_lead_cross)
 
 
-_CKPT_VERSION = 2       # 2: Szego-phase decoder, no per-chunk lead sums
+_CKPT_VERSION = 3       # 3: one-state Szego decoder, Christoffel-Darboux slope
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):

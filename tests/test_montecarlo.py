@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
 from spacingcov import montecarlo as mc
 from spacingcov.montecarlo import (CheckpointMismatch, CueBatch, MCConfig,
@@ -123,6 +124,52 @@ class TestSparseCMVDecoder:
             err = np.abs(np.angle(np.exp(1j * (got - ref))))   # on the circle
             worst = max(worst, err.max())
         assert worst < 1e-9
+
+    @staticmethod
+    def _block(N, count, seed):
+        rng = _rng(seed)
+        alpha = np.array([_verblunsky(N, rng) for _ in range(count)])
+        cosines = np.array([0.5 * eig_banded(mc._cmv_matrix(a), lower=False,
+                                             eigvals_only=True)
+                            for a in alpha])
+        return alpha, cosines
+
+    @pytest.mark.parametrize("N", [256, 24, 2])
+    def test_block_matches_rows(self, N):
+        alpha, cosines = self._block(N, 40, seed=N)
+        block = mc._szego_angles(alpha, cosines)
+        rows = np.array([mc._szego_angles(alpha[i:i + 1], cosines[i:i + 1])[0]
+                         for i in range(len(alpha))])
+        assert block.shape == (40, N)
+        assert np.max(np.abs(block - rows)) <= 1e-13
+
+    def test_slope_matches_finite_difference(self):
+        # Christoffel-Darboux slope against a Richardson-extrapolated central
+        # difference of the phase, with the step scaled to the local slope
+        alpha, _ = self._block(24, 8, seed=5)
+        theta = _rng(6).uniform(-np.pi, np.pi, (8, 16))
+        _, slope = mc._szego_phase(alpha, theta)
+
+        def central(h):
+            up, _ = mc._szego_phase(alpha, theta + h)
+            down, _ = mc._szego_phase(alpha, theta - h)
+            return np.angle(np.exp(1j * (up - down))) / (2.0 * h)
+
+        h = 1e-4 / slope
+        fd = (4.0 * central(0.5 * h) - central(h)) / 3.0
+        assert np.all(slope >= 1.0)
+        assert np.max(np.abs(fd / slope - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("sampler", ["sparse_cmv", "qr_haar"])
+    def test_batch_matches_sequential_samples(self, sampler):
+        # one sampler call for the batch draws in the same order as one
+        # call per sample; 70 samples span three decode blocks
+        N, M = 24, 70
+        batch = CueBatch.generate(N, M, _rng(7), sampler)
+        rng = _rng(7)
+        rows = np.array([sample_cue_eigenangles(N, rng, sampler)
+                         for _ in range(M)])
+        assert np.max(np.abs(batch.eigenangles - rows)) <= 1e-13
 
 
 class TestUnfold:
@@ -280,6 +327,18 @@ class TestStreamingRun:
             with pytest.raises(CheckpointMismatch):
                 mc.run(cfg, checkpoint_path=ck, resume=True)
 
+    def test_checkpoint_every_guard(self, tmp_path, monkeypatch):
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
+
+        def no_chunk(*args):
+            raise AssertionError("a chunk was computed")
+
+        monkeypatch.setattr(mc, "_chunk_partials", no_chunk)
+        ck = tmp_path / "ck.npz"
+        with pytest.raises(ValueError):
+            mc.run(cfg, checkpoint_path=str(ck), checkpoint_every=0)
+        assert not ck.exists()
+
     def test_resume_without_checkpoint(self, tmp_path):
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
         with pytest.raises(CheckpointMismatch):
@@ -288,6 +347,57 @@ class TestStreamingRun:
 
 
 class TestLevelStatistics:
+    @staticmethod
+    def _per_sample_second_diffs(res, k):
+        # per chunk, each sample's term of the chunk's second difference:
+        # the chunk value is their mean
+        cfg = res.config
+        L = min(cfg.lead, cfg.N - 1)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
+        out = []
+        for c in range(cfg.n_chunks):
+            rng = np.random.Generator(np.random.Philox(children[c]))
+            lo, hi = cfg.chunk_bounds(c)
+            s = np.array([np.diff(sample_cue_eigenangles(cfg.N, rng,
+                                                         cfg.sampler))
+                          for _ in range(hi - lo)])[:, :L] / res.delta[:L]
+            # sum of s s^T - 1 over [:j, :j] is lambda_j^2 - j^2
+            j = np.array([k + 1, k, k - 1])
+            sq = np.cumsum(s, axis=1)[:, j - 1] ** 2 - j ** 2
+            out.append(0.5 * (sq[:, 0] - 2.0 * sq[:, 1] + sq[:, 2]))
+        return out
+
+    def test_second_difference_short_last_chunk(self):
+        # 450 samples in chunks of 200: the last chunk holds 50
+        cfg = MCConfig(N=24, M=450, seed=9, k_max=3, chunk_size=200, lead=12)
+        res = mc.run(cfg)
+        for k in (2, 3, 5):
+            got = res._chunk_second_diffs(k)
+            terms = self._per_sample_second_diffs(res, k)
+            ref = np.array([t.mean() for t in terms])
+            assert np.max(np.abs(got - ref)) < 1e-12
+            # the short chunk agrees with the full ones within 4 standard
+            # errors of the difference of the means
+            full = np.concatenate(terms[:-1])
+            se = full.std(ddof=1) * np.sqrt(1 / terms[-1].size + 1 / full.size)
+            assert abs(got[-1] - full.mean()) < 4.0 * se
+
+    def test_second_difference_full_chunks_unchanged(self):
+        # with M a multiple of chunk_size every chunk holds chunk_size
+        # samples: its lead cross-moments are divided by it, bit for bit
+        cfg = MCConfig(N=24, M=600, seed=9, k_max=3, chunk_size=200, lead=12)
+        res = mc.run(cfg)
+        d = res.delta[:12]
+        for k in (2, 3, 5):
+            C = res._chunk_lead_cross / cfg.chunk_size / np.outer(d, d) - 1.0
+            per = 0.5 * (C[:, :k + 1, :k + 1].sum(axis=(1, 2))
+                         - 2.0 * C[:, :k, :k].sum(axis=(1, 2))
+                         + C[:, :k - 1, :k - 1].sum(axis=(1, 2)))
+            assert np.array_equal(res._chunk_second_diffs(k), per)
+            assert res.second_difference(k) == (
+                float(aggregate(per).values[0]),
+                float(aggregate(per).half_widths[0]))
+
     def test_var_lambda_1_equals_spacing_variance(self, mc_small_run):
         v1 = mc_small_run.var_lambda(1)
         assert v1 == pytest.approx(mc_small_run.cov[0, 0], rel=1e-12)
