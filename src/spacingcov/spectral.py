@@ -8,16 +8,32 @@ where L(lam; omega) is the Painlevé log-integral of the painleve module at
 zeta = 1 - e^{i omega}; equivalently exp(L) is the sine-kernel Fredholm
 determinant at interval length lam/2pi (the selectable "fredholm" backend).
 
-The integrand decays only algebraically, like lam^{-omega^2/2pi^2}, while
-oscillating at the base rate nu0 = omega/2pi plus weaker components at
-|nu0 +- 1| and |nu0 +- 2| (from e^{+-i lam} correction terms of the
-determinant asymptotics).  The improper integral is therefore evaluated by
-partial sums over panels of a resonance-aware length T, followed by exact
-annihilation of each oscillatory component (the transformation
-(S_{n+1} - rho S_n)/(1 - rho) with rho = e^{+-i nu T} removes a tail
-component proportional to e^{+-i nu lam} exactly), and iterated averaging
-of what remains.  The spread of the last few extrapolants is the reported
-error estimate; 48-64 panels give ~1e-12 across omega in (0, pi].
+The integrand decays only algebraically, so the integral is split at
+lam = Lambda (TAIL_START).  The head [0, Lambda] is composite Gauss-Legendre
+quadrature of the trajectory (on a lifted path: up the vertical lift, then
+along Im t = elevation).  The tail is closed with the Fisher-Hartwig
+expansion of the sine-kernel determinant: with v = omega/2pi,
+
+    exp L(t) = sum_j C_j t^{-2(v+j)^2} e^{i(v+j)t} (1 + sum_m c_jm t^{-m}),
+
+a sum over the representations v + j, j = -2..2 (Basor-Widom 1983 and
+Budylin-Buslaev 1995 for the leading term; Deift-Its-Krasovsky, Ann. Math.
+2011, and Bothner-Deift-Its-Krasovsky, CMP 2015, for the sum).  The
+exponents and rates are known, so the 25 amplitudes C_j c_jm (m < 5) are a
+linear least-squares fit to exp L on the window lam in [150, 400], taken on
+the same path and the same quadrature nodes as the head.  Each term is
+integrated from Lambda to infinity by Gauss-Laguerre along the ray
+t = Lambda +- i s on which its oscillation decays.  Both backends share
+this closure.
+
+The leading amplitude is known in closed form, C_0 = [G(1+v) G(1-v)]^2
+with G the Barnes G-function, so every value carries an analytic check: a
+fit whose misfit or whose C_0 is off raises TruncationError and returns no
+value.  The error estimate is the change of the tail when the fit drops its
+highest order, plus the C_0 mismatch (the relative error of the fitted
+values, ODE error included) times |integral_0^inf exp L|, the factor by
+which such a relative error reaches S; at small omega that factor is about
+1/v.
 
 Also here: the small-omega closed form, the spacing density P(s) = E''(s),
 the spacings-to-eigenlevels spectrum transform, and a piecewise-Chebyshev
@@ -28,42 +44,42 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
+from scipy.special import zeta as riemann_zeta
 
 from .fredholm import DeterminantRequest, gap_probability, sine_kernel_det
 from .painleve import DEFAULT_CONFIG, SolverConfig, solve_sigma0
 
 TWO_PI = 2.0 * np.pi
 
+# analytic tail closure (see the module docstring)
+TAIL_START = 400.0             # Lambda: quadrature on [0, Lambda], model beyond
+FIT_WINDOW = (150.0, 400.0)    # path positions whose values fix the amplitudes
+FIT_ORDER = 5                  # corrections lam^{-m}, m < FIT_ORDER
+FIT_SHIFTS = np.arange(-2, 3)  # Fisher-Hartwig representations v + j
+LAGUERRE_NODES = 80            # Gauss-Laguerre nodes per rotated ray
+FIT_RESIDUAL_TOL = 1e-8        # relative rms misfit on the window
+C0_RTOL = 1e-6                 # fitted C_0 against [G(1+v) G(1-v)]^2
+
 
 class TruncationError(RuntimeError):
-    """Tail extrapolation did not reach the requested accuracy.
-
-    ``partial`` holds the best available value.
-    """
-
-    def __init__(self, message, partial=None, err=None):
-        super().__init__(message)
-        self.partial = partial
-        self.err = err
+    """The tail closure failed a check or its error estimate is too large;
+    no value is returned."""
 
 
 @dataclass(frozen=True)
 class SpectrumConfig:
     backend: str = "painleve"      # or "fredholm"
-    n_panels: int = 56             # tail panels feeding the extrapolation
     panel_nodes: int = 32          # Gauss-Legendre nodes per sub-panel
     sub_len: float = 10.0          # max sub-panel length; resolves e^{+-i lam}
-    lam_head: float = 30.0         # plain integration up to max(T, lam_head)
     omega_min: float = 0.05        # below this, the closed small-omega form
     err_cap: float = 1e-6          # raise TruncationError beyond this
     solver: SolverConfig = field(default_factory=lambda: DEFAULT_CONFIG)
-    # fredholm backend only: fixed Nystrom node policy (deterministic cost)
-    det_nodes_cap: int = 720
 
     def __post_init__(self):
         if self.backend not in ("painleve", "fredholm"):
@@ -73,94 +89,96 @@ class SpectrumConfig:
 DEFAULT_SPECTRUM_CONFIG = SpectrumConfig()
 
 
-def _resonant_panel_length(omega: float, mmax: int = 2):
-    """Panel length T in [0.5, 1.5] pi/nu0 keeping every oscillation rate
-    nu_j away from the annihilation blind spots nu_j T = 0 mod 2pi."""
-    nu0 = omega / TWO_PI
-    rates = [nu0] + [abs(nu0 + s * m) for m in range(1, mmax + 1) for s in (1, -1)]
-    rates = np.array([r for r in rates if r > 1e-12])
-    base = np.pi / nu0
-    Ts = base * np.linspace(0.5, 1.5, 4001)
-    ph = np.mod(np.outer(Ts, rates), TWO_PI)
-    dist = np.minimum(ph, TWO_PI - ph).min(axis=1)
-    i = int(np.argmax(dist))
-    return float(Ts[i]), float(dist[i])
+def _barnes_g_product(v):
+    """G(1+v) G(1-v) for |v| <= 1/2, G the Barnes G-function, from
+    log G(1+v)G(1-v) = -(1+gamma) v^2 - sum_{n>=2} zeta(2n-1) v^{2n}/n."""
+    v = float(v)
+    if abs(v) > 0.5:
+        raise ValueError(f"|v| must be <= 1/2, got {v}")
+    n = np.arange(40, 1, -1)                 # smallest terms first
+    series = np.sum(riemann_zeta(2 * n - 1) * v ** (2 * n) / n)
+    return float(np.exp(-(1.0 + np.euler_gamma) * v * v - series))
 
 
-def _annihilate_and_average(partial_sums: np.ndarray, T: float, nu0: float):
-    """Extrapolate the limit of oscillatory-tailed partial sums.
-
-    Tiered exact annihilation over the known rates (heaviest on the base
-    rate), then iterated pairwise averaging; the error estimate is the
-    change over the last few averaging diagonals.
-    """
-    seq = partial_sums.astype(complex)
-    sched = ([(nu0, 5)]
-             + [(abs(nu0 + s), 3) for s in (1, -1)]
-             + [(abs(nu0 + 2 * s), 2) for s in (1, -1)])
-    for rate, reps in sched:
-        for _ in range(reps):
-            for sg in (1, -1):
-                if len(seq) < 2:
-                    break
-                rho = np.exp(1j * sg * rate * T)
-                seq = (seq[1:] - rho * seq[:-1]) / (1.0 - rho)
-    hist = []
-    while len(seq) > 1:
-        seq = 0.5 * (seq[:-1] + seq[1:])
-        hist.append(seq[-1].real)
-    if len(hist) < 3:
-        raise ValueError("too few panels for tail extrapolation")
-    return hist[-1], abs(hist[-1] - hist[-3])
+def _panel_rule(breaks, config: SpectrumConfig):
+    """Composite Gauss-Legendre rule over the consecutive intervals between
+    ``breaks`` (empty ones skipped), in sub-panels no longer than
+    config.sub_len, which resolve the unit-rate oscillations."""
+    edges = [breaks[0]]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b > a:
+            n = max(1, int(np.ceil((b - a) / config.sub_len)))
+            edges.extend(np.linspace(a, b, n + 1)[1:])
+    gx, gw = leggauss(config.panel_nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((half * (gx + 1.0) + np.array(edges[:-1])[:, None]).ravel(),
+            (half * gw).ravel())
 
 
-def _segment_integral(f, a: float, b: float, nodes_x, nodes_w, sub_len: float):
-    """integral_a^b f, split into sub-panels short enough to resolve the
-    unit-rate oscillations; f maps an array of positions to real values."""
-    nsub = max(1, int(np.ceil((b - a) / sub_len)))
-    edges = np.linspace(a, b, nsub + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        lam = 0.5 * (hi - lo) * (nodes_x + 1.0) + lo
-        total += 0.5 * (hi - lo) * float(np.sum(nodes_w * f(lam)))
-    return total
-
-
-def _painleve_integrand(omega: float, x_max: float, config: SpectrumConfig):
-    """(f, extra, split): f(x) = Re of the contour-weighted integrand at
-    path position x; extra is the vertical-lift contribution and split the
-    handoff point where a lifted contour leaves the real axis (f jumps
-    there, so quadrature panels must not straddle it)."""
+def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
+    """(g, vertical, split, elevation): g(x) = exp L at path positions x,
+    on Im t = elevation beyond the handoff point ``split`` where a lifted
+    contour leaves the real axis (g jumps there, so quadrature panels must
+    not straddle it); vertical is the integral over the lift in between."""
     zeta = 1.0 - np.exp(1j * omega)
     traj = solve_sigma0(zeta, x_max, config.solver)
 
-    def f(x):
-        return np.real(np.exp(traj.eval_log_integral(x)))
+    def g(x):
+        return np.exp(traj.eval_log_integral(x))
 
-    extra = 0.0
+    vertical = 0j
     split = 0.0
     if traj.elevation:
-        # contour piece t = t0 + i tau: Re(i exp(L)) = -Im exp(L)
+        # contour piece t = t0 + i tau, dt = i dtau
         gx, gw = leggauss(config.panel_nodes)
         tau = 0.5 * traj.elevation * (gx + 1.0)
         Lv = traj.vertical_log_integral(tau)
-        extra = 0.5 * traj.elevation * float(np.sum(gw * (-np.imag(np.exp(Lv)))))
+        vertical = 0.5 * traj.elevation * np.sum(gw * (1j * np.exp(Lv)))
         split = traj.series_radius
-    return f, extra, split
+    return g, vertical, split, traj.elevation
 
 
-def _fredholm_integrand(omega: float, config: SpectrumConfig):
+def _fredholm_path(omega: float):
+    """As _painleve_path, on the real axis: det(I - zeta K_{lam/2pi}) with a
+    fixed Nystrom node count ceil(3.4 s + 24) at s = lam/2pi."""
     zeta = 1.0 - np.exp(1j * omega)
 
-    def f(lam):
-        out = np.empty(len(lam))
-        for i, l in enumerate(lam):
-            s = l / TWO_PI
-            n = min(config.det_nodes_cap, int(np.ceil(3.4 * s + 24)))
-            out[i] = sine_kernel_det(DeterminantRequest(zeta, s, n)).real
-        return out
+    def g(lam):
+        return np.array([
+            sine_kernel_det(DeterminantRequest(
+                zeta, l / TWO_PI, int(np.ceil(3.4 * l / TWO_PI + 24))))
+            for l in lam])
 
-    return f, 0.0, 0.0
+    return g, 0j, 0.0, 0.0
+
+
+def _tail(v: float, x, values, elevation: float, order: int):
+    """(tail, C_0, misfit): integral of exp L from t = Lambda + i elevation
+    to infinity, from the model fitted to ``values`` = exp L at path
+    positions x (t = x + i elevation) in the window.
+
+    The model is sum_j C_j t^{-2(v+j)^2} e^{i(v+j)t} (1 + sum_m c_jm t^{-m});
+    the exponents and rates are fixed, so the amplitudes C_j c_jm are a
+    linear least-squares fit.  Each term is integrated on the ray
+    t = Lambda + i elevation +- i s along which its e^{i(v+j)t} decays.
+    """
+    lo = FIT_WINDOW[0]
+    rates = v + FIT_SHIFTS
+    powers = -2.0 * rates[:, None] ** 2 - np.arange(order)    # (j, m)
+    t = (x + 1j * elevation)[:, None, None]
+    A = ((t / lo) ** powers * np.exp(1j * rates[:, None] * t)).reshape(len(x), -1)
+    amp = np.linalg.lstsq(A, values, rcond=None)[0]
+    misfit = np.linalg.norm(A @ amp - values) / np.linalg.norm(values)
+    # rotated rays: t = t_L + i sgn(r) s, e^{irt} = e^{irt_L} e^{-|r| s}
+    lx, lw = laggauss(LAGUERRE_NODES)
+    sgn, speed = np.sign(rates), np.abs(rates)
+    t_L = TAIL_START + 1j * elevation
+    rays = t_L + 1j * (sgn / speed)[:, None] * lx                  # (j, k)
+    ray_sums = np.einsum("k,jmk->jm", lw,
+                         (rays[:, None, :] / lo) ** powers[:, :, None])
+    terms = (1j * sgn / speed * np.exp(1j * rates * t_L))[:, None] * ray_sums
+    c0 = amp.reshape(powers.shape)[FIT_SHIFTS == 0, 0][0] * lo ** (2.0 * v * v)
+    return complex(amp @ terms.ravel()), complex(c0), float(misfit)
 
 
 def power_spectrum(omega: float,
@@ -168,38 +186,42 @@ def power_spectrum(omega: float,
     """S(omega) for omega in (0, pi]; returns (value, error_estimate).
 
     Below config.omega_min the certified closed small-omega form is
-    returned with its remainder bound as the error.
+    returned with its remainder bound as the error.  The error estimate is
+    described in the module docstring.
     """
     if not (0.0 < omega <= np.pi + 1e-12):
         raise ValueError(f"omega must lie in (0, pi], got {omega}")
     omega = min(omega, np.pi)
     if omega < config.omega_min:
         return power_spectrum_small_omega(omega), 5.0 * omega ** 4
-    T, _ = _resonant_panel_length(omega)
-    nu0 = omega / TWO_PI
-    lam0 = max(T, config.lam_head)
-    x_max = lam0 + config.n_panels * T
+    lo, hi = FIT_WINDOW
+    end = max(TAIL_START, hi)
     if config.backend == "painleve":
-        f, extra, split = _painleve_integrand(omega, x_max, config)
+        g, vertical, split, elevation = _painleve_path(omega, end, config)
     else:
-        f, extra, split = _fredholm_integrand(omega, config)
-    gx, gw = leggauss(config.panel_nodes)
-    head = extra
-    if split > 0.0:
-        head += _segment_integral(f, 0.0, split, gx, gw, config.sub_len)
-    head += _segment_integral(f, split, lam0, gx, gw, config.sub_len)
-    panels = np.array([
-        _segment_integral(f, lam0 + i * T, lam0 + (i + 1) * T, gx, gw,
-                          config.sub_len)
-        for i in range(config.n_panels)])
-    partial = head + np.cumsum(panels)
-    est, err = _annihilate_and_average(partial, T, nu0)
-    value, err = est / np.pi, err / np.pi
+        g, vertical, split, elevation = _fredholm_path(omega)
+    x, w = _panel_rule([0.0, split, TAIL_START, end], config)
+    values = g(x)
+    inside = x < TAIL_START
+    head = vertical + np.sum(w[inside] * values[inside])
+    fit = (x >= lo) & (x <= hi)
+    v = omega / TWO_PI
+    tail, c0, misfit = _tail(v, x[fit], values[fit], elevation, FIT_ORDER)
+    drift = abs(c0 / _barnes_g_product(v) ** 2 - 1.0)
+    if misfit > FIT_RESIDUAL_TOL or drift > C0_RTOL:
+        raise TruncationError(
+            f"tail model misfit {misfit:.2e}, C_0 off by {drift:.2e} "
+            f"for omega = {omega}")
+    coarse = _tail(v, x[fit], values[fit], elevation, FIT_ORDER - 1)[0]
+    total = head + tail
+    # the fit's truncation, plus the relative error of the trajectory's
+    # values as the closed-form C_0 measures it, times the sensitivity
+    # |integral exp L| of S to such an error
+    err = (abs(tail.real - coarse.real) + drift * abs(total)) / np.pi
     if err > config.err_cap:
         raise TruncationError(
-            f"tail extrapolation stuck at error {err:.2e} for omega = {omega}",
-            partial=value, err=err)
-    return value, err
+            f"tail error estimate {err:.2e} for omega = {omega}")
+    return total.real / np.pi, err
 
 
 def power_spectrum_small_omega(omega, validity_max: float = 0.2):

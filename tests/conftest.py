@@ -22,12 +22,6 @@ os.makedirs(os.path.dirname(_CACHE), exist_ok=True)
 os.environ.setdefault("SPACINGCOV_SPECTRUM_CACHE", _CACHE)
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: long-running checks excluded by default "
-                   "(enable with -m 'slow or not slow')")
-
-
 @pytest.fixture(scope="session")
 def spectrum_interpolant():
     return SpectrumInterpolant.build()

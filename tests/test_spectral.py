@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from spacingcov import spectral
+from spacingcov.painleve import SolverConfig
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
                                  SpectrumInterpolant, eig_spectrum_from_sp,
                                  power_spectrum, power_spectrum_small_omega,
@@ -10,8 +11,9 @@ from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
 
 TWO_PI = 2.0 * np.pi
 
-# regression values frozen from knob-convergence runs (panel count, nodes
-# and sub-panel length all varied; stable to ~1e-12)
+# regression values frozen from knob-convergence runs (nodes and sub-panel
+# length varied; stable to ~1e-12).  The panel count they were also varied
+# over is no longer a knob: the tail is closed analytically.
 FROZEN = {
     0.1: 0.0158819779979,
     0.3: 0.0470759268186,
@@ -20,6 +22,20 @@ FROZEN = {
     3.0: 0.2705019276429,
     np.pi: 0.2710447241763,
 }
+
+# power_spectrum as computed by the panel extrapolator that preceded the
+# analytic tail closure; the closure must reproduce it to 1e-12
+PANEL_EXTRAPOLATOR = {
+    0.1: float.fromhex("0x1.0435d80659729p-6"),
+    0.3: float.fromhex("0x1.81a55fc3849b9p-5"),
+    1.0: float.fromhex("0x1.26377ccda6d5ap-3"),
+    2.0: float.fromhex("0x1.e21e0b15a061ep-3"),
+    3.0: float.fromhex("0x1.14fe7512b4514p-2"),
+    np.pi: float.fromhex("0x1.158cbf885b4d4p-2"),
+}
+
+# Glaisher-Kinkelin constant A, for G(1/2) = 2^{1/24} e^{1/8} pi^{-1/4} A^{-3/2}
+GLAISHER = 1.2824271291006226368753425688697917277676889273250
 
 
 class TestPowerSpectrum:
@@ -39,20 +55,15 @@ class TestPowerSpectrum:
         assert val == power_spectrum_small_omega(0.02)
         assert err > 0
 
-    @pytest.mark.parametrize("omega", [1.0, 2.0, 3.0, np.pi])
+    @pytest.mark.parametrize("omega", sorted(PANEL_EXTRAPOLATOR))
+    def test_matches_panel_extrapolator(self, omega):
+        val, _ = power_spectrum(omega)
+        assert abs(val - PANEL_EXTRAPOLATOR[omega]) < 1e-12
+
+    @pytest.mark.parametrize("omega", [0.3, 0.6, 1.0, 2.0, 3.0, np.pi])
     def test_backend_equivalence(self, omega):
         pv, _ = power_spectrum(omega)
-        # 36 panels: enough survives the tail annihilation stages
-        fd, _ = power_spectrum(omega, SpectrumConfig(backend="fredholm",
-                                                     n_panels=36))
-        assert abs(pv - fd) < 1e-8
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("omega", [0.3, 0.6])
-    def test_backend_equivalence_small_omega(self, omega):
-        pv, _ = power_spectrum(omega)
-        fd, _ = power_spectrum(omega, SpectrumConfig(backend="fredholm",
-                                                     n_panels=36))
+        fd, _ = power_spectrum(omega, SpectrumConfig(backend="fredholm"))
         assert abs(pv - fd) < 1e-8
 
     def test_small_omega_law_approach(self):
@@ -75,6 +86,61 @@ class TestPowerSpectrum:
         slope_edge = abs((3 * v[0] - 4 * v[1] + v[2]) / (2 * h))
         slope_mid = abs(power_spectrum(1.0 + h)[0] - power_spectrum(1.0)[0]) / h
         assert slope_edge < 1e-3 * slope_mid
+
+
+def _spy_tail(monkeypatch):
+    """Record the (tail, C_0, misfit) of every full-order tail fit."""
+    fits = []
+    orig = spectral._tail
+
+    def spy(v, x, values, elevation, order):
+        out = orig(v, x, values, elevation, order)
+        if order == spectral.FIT_ORDER:
+            fits.append((v, out))
+        return out
+
+    monkeypatch.setattr(spectral, "_tail", spy)
+    return fits
+
+
+class TestTailClosure:
+    def test_g_product_at_one_half(self):
+        g_half = (2.0 ** (1 / 24) * np.exp(1 / 8) * np.pi ** -0.25
+                  * GLAISHER ** -1.5)
+        expect = g_half ** 2 * np.sqrt(np.pi)     # G(3/2) G(1/2)
+        assert abs(spectral._barnes_g_product(0.5) - expect) < 1e-15
+
+    def test_g_product_at_zero(self):
+        assert spectral._barnes_g_product(0.0) == 1.0
+
+    @pytest.mark.parametrize("omega", [0.1, 1.0, 3.0])
+    def test_fitted_c0_matches_closed_form(self, omega, monkeypatch):
+        fits = _spy_tail(monkeypatch)
+        power_spectrum(omega)
+        (v, (_, c0, misfit)), = fits
+        exact = spectral._barnes_g_product(v) ** 2
+        assert abs(c0 / exact - 1.0) < 1e-9
+        assert misfit < 1e-12
+
+    def test_bad_fit_raises(self, monkeypatch):
+        # a longer window with one more order leaves the lifted-path fit
+        # at omega = 2.95 visibly off: no value may come back
+        monkeypatch.setattr(spectral, "FIT_WINDOW", (200.0, 600.0))
+        monkeypatch.setattr(spectral, "FIT_ORDER", 6)
+        with pytest.raises(spectral.TruncationError):
+            power_spectrum(2.95)
+
+    @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 3.0])
+    def test_error_estimate_covers_knob_spread(self, omega, monkeypatch):
+        val, err = power_spectrum(omega)
+        tight = SpectrumConfig(solver=SolverConfig(rtol=1e-13, atol=1e-14))
+        moved = [power_spectrum(omega, tight)[0]]
+        lo, hi = spectral.FIT_WINDOW
+        for shift in (-25.0, 25.0):
+            monkeypatch.setattr(spectral, "FIT_WINDOW",
+                                (lo + shift, hi + shift))
+            moved.append(power_spectrum(omega)[0])
+        assert np.all(np.abs(np.array(moved) - val) <= err)
 
 
 class TestSmallOmegaForm:
@@ -207,7 +273,7 @@ class TestInterpolant:
 
         def counting_stub(omega, config=spectral.DEFAULT_SPECTRUM_CONFIG):
             calls.append(omega)
-            return omega * config.n_panels, 0.0
+            return omega * config.sub_len, 0.0
 
         monkeypatch.setattr(spectral, "power_spectrum", counting_stub)
         path = str(tmp_path / "spectrum.npz")
@@ -217,9 +283,9 @@ class TestInterpolant:
             return SpectrumInterpolant.build(config, nodes=nodes,
                                              cache_path=path)
 
-        build(SpectrumConfig(n_panels=48))
+        build(SpectrumConfig(sub_len=8.0))
         assert calls
-        fresh = build()                     # other n_panels: rebuilt
+        fresh = build()                     # other sub_len: rebuilt
         assert calls
         cached = build()                    # matching file: reused
         assert calls == []
