@@ -201,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--sampler", choices=["qr_haar", "sparse_cmv"])
     mo.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     mo.add_argument("--resume", action="store_true")
+    mo.add_argument("--threads", type=int,
+                    help="parallel worker cap (env SPACINGCOV_THREADS)")
     mo.set_defaults(func=cmd_montecarlo)
 
     f1 = sub.add_parser("figure1", help="difference/ratio comparison columns")
@@ -210,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     for s in (sp, av, mo, f1):
         s.add_argument("--out", default="-", help="output path ('-' = stdout)")
         s.add_argument("--format", choices=["csv", "json"], default="csv")
-        s.add_argument("--threads", type=int,
-                       help="parallel worker cap (env SPACINGCOV_THREADS)")
     return p
 
 

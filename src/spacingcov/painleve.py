@@ -14,19 +14,24 @@ the accumulated log-integral  integral_0^lambda sigma0(t)/t dt  is the
 logarithm of a sine-kernel Fredholmdeterminant; its exponential is the
 integrand of the spacing power spectrum.
 
-Integration strategy: a truncated power series on [0, t0], then adaptive
-Runge-Kutta on the second-order form  s'' = +-sqrt(-f (f + 4 s'^2))/t  with
-f = t s' - s, the complex square-root branch tracked by continuity.  The
-second-order form keeps the trajectory exactly on the constraint manifold;
-the differentiated third-order form drifts off it exponentially along
-complex paths.  For omega close to pi the determinant has zeros on the real
-t-axis (sigma has poles there), so the path is lifted to Im t = delta and
-real-axis values are recovered by a short vertical descent.
+Integration strategy: a truncated power series on [0, t0], then one
+adaptive Runge-Kutta solve with dense output.  On the real axis it runs the
+branch-free differentiated third-order form.  That form does not damp
+constraint perturbations: at omega around 2.5-2.9 the error in the
+log-integral grows about quadratically with t (7e-9 by t = 400 at
+omega = 2.86), and for omega close to pi the determinant has zeros on the
+real t-axis (sigma has poles there).  So from omega = 2.7 on the path is
+lifted to Im t = delta, and the solve runs the second-order form
+s'' = +-sqrt(-f (f + 4 s'^2))/t, f = t s' - s, with the complex square-root
+branch tracked by continuity; it keeps the trajectory exactly on the
+constraint manifold, from which the third-order form drifts exponentially
+along complex paths.  Real-axis values are recovered by a short vertical
+descent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -133,8 +138,6 @@ class _Series:
 
     def radius(self, config: SolverConfig) -> float:
         """Largest t0 at which the last term is negligible vs the sum."""
-        if self.zeta == 0:
-            return 1.0
         t0 = 0.5
         c = self.coeffs
         n = np.arange(1, self.order + 1)
@@ -178,9 +181,11 @@ def _make_rhs(t_of_x, branch_state):
     """RHS of the first-order system (sigma, sigma', log_integral).
 
     sigma'' is the square root of -f (f + 4 sigma'^2)/t^2 whose branch is
-    the one closer to the previously selected value.  Used on the complex
-    (lifted) path pieces, where it keeps the trajectory exactly on the
-    constraint manifold; the differentiated third-order form drifts there.
+    the one closer to the previously selected value, kept in
+    ``branch_state["spp"]`` by the one integration that owns the dict.
+    Used on the complex (lifted) path pieces, where it keeps the trajectory
+    exactly on the constraint manifold; the differentiated third-order
+    form drifts there.
     """
 
     def rhs(x, y):
@@ -197,10 +202,13 @@ def _rhs_third_order(x, y):
     """RHS of (sigma, sigma', sigma'', log_integral) on the real axis.
 
     The differentiated form sigma''' = -(t s'' + t f + 2 t s'^2 + 4 f s')/t^2
-    is branch-free; constraint perturbations decay like 1/t along the real
-    axis, so no drift control is needed there.  On complex paths the same
-    perturbations grow and the branch-tracked second-order form is used
-    instead.
+    is branch-free, but nothing holds it on the constraint manifold: at
+    omega around 2.5-2.9 the error in the log-integral grows about
+    quadratically with t, to 7e-9 by t = 400 at omega = 2.86 (rtol 1e-12
+    against 1e-14).  That is why paths are lifted from
+    SolverConfig.elevation_omega = 2.7 on.  On complex paths the
+    perturbations grow exponentially, so the branch-tracked second-order
+    form is used there instead.
     """
     t = x
     s, sp, spp, _ = y
@@ -209,95 +217,91 @@ def _rhs_third_order(x, y):
     return np.array([sp, spp, sppp, s / t], dtype=complex)
 
 
-@dataclass
-class SigmaTrajectory:
-    """sigma0 along a path in the t-plane, with its accumulated log-integral.
+def _checked(x, hi: float, what: str) -> np.ndarray:
+    """x as a float array, if every entry lies in [0, hi]; nothing is
+    extrapolated."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((x >= 0.0) & (x <= hi)):
+        raise ValueError(f"{what} must lie in [0, {hi}]")
+    return x
 
-    One representation: the truncated power series, authoritative up to
-    ``series_radius``, then a list of dense-output segments in path position
-    x (the path runs at Im t = ``elevation``), plus on a lifted path the
-    dense solution of the vertical lift t = series_radius + i tau.  Every
-    value is read from these pieces; ``t_grid`` lists the accepted
-    integration steps.
+
+@dataclass(frozen=True)
+class SigmaTrajectory:
+    """sigma0 along a path in the t-plane, with its accumulated log-integral:
+    the frozen result of one integration.
+
+    The truncated power series is authoritative up to ``series_radius``.
+    Beyond it one dense solution runs in path position x up to ``t_max``,
+    on the path Im t = ``elevation``; on a lifted path a second dense
+    solution covers the vertical lift t = series_radius + i tau.  Every
+    value is read from these pieces, and a position outside them raises
+    ValueError.  ``t_grid`` lists the accepted integration steps.
     """
 
     zeta: complex
     series_radius: float
     elevation: float                      # 0.0 for a real-axis path
-
-    _series: _Series | None = None
-    # dense-output pieces (scipy OdeSolution) over consecutive ranges of
-    # path position x, in order
-    _segments: list = field(default_factory=list)
-    _branch_state: dict = field(default_factory=dict)
-    _vertical: object = None              # dense solution of the initial lift
+    _series: _Series
+    # scipy OdeSolution on [series_radius, t_max]; its state is
+    # [s, s', s'', L] on the real axis and [s, s', L] on a lifted path
+    _dense: object = None
+    _vertical: object = None              # OdeSolution of the lift in tau
     _config: SolverConfig = DEFAULT_CONFIG
-
-    # -- evaluation --------------------------------------------------------
-    # real-axis segments carry [s, s', s'', L], lifted ones [s, s', L]: the
-    # log-integral L is always the last state entry
 
     @property
     def t_max(self) -> float:
-        return self._segments[-1].t_max if self._segments else self.series_radius
+        return self.series_radius if self._dense is None else self._dense.t_max
 
     @property
     def t_grid(self) -> np.ndarray:
         """0 followed by the end of every accepted integration step."""
-        return np.concatenate([[0.0]] + [seg.ts[1:] for seg in self._segments])
+        steps = [] if self._dense is None else self._dense.ts[1:]
+        return np.concatenate([[0.0], steps])
 
-    def _segment_index(self, x):
-        """Index of the segment covering path position(s) x."""
-        ends = [seg.t_max for seg in self._segments]
-        return np.minimum(np.searchsorted(ends, x), len(ends) - 1)
-
-    def state_at(self, x: float) -> np.ndarray:
-        """Solver state at path position x; the last entry is the
-        log-integral, the first two are (sigma, sigma')."""
-        if x <= self.series_radius:
-            head = [self._series.sigma(x), self._series.sigma_prime(x)]
-            if not self.elevation:
-                head.append(self._series.sigma_pp(x))
-            return np.array(head + [self._series.log_integral(x)],
-                            dtype=complex)
-        return self._segments[self._segment_index(x)](x)
-
-    def _eval(self, x, row: int, series) -> np.ndarray:
-        """State entry ``row`` at path positions x: ``series`` up to the
-        series radius, one dense-output call per segment beyond it."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _eval(self, x, row: int) -> np.ndarray:
+        """State entry ``row`` (0: sigma, 1: sigma', -1: log-integral) at
+        path positions x: the series up to the series radius, the dense
+        solution beyond it."""
+        x = _checked(x, self.t_max, "path positions")
+        ser = self._series
+        series = (ser.sigma, ser.sigma_prime, ser.log_integral)[row]
         out = np.empty(x.shape, dtype=complex)
         small = x <= self.series_radius
         out[small] = series(x[small])
-        big = np.nonzero(~small)[0]
-        seg = self._segment_index(x[big])
-        for i in np.unique(seg):
-            sel = big[seg == i]
-            out[sel] = self._segments[i](x[sel])[row]
+        if not small.all():
+            out[~small] = self._dense(x[~small])[row]
         return out
 
     def eval_log_integral(self, x) -> np.ndarray:
         """Log-integral at path positions x (vectorized)."""
-        return self._eval(x, -1, self._series.log_integral)
+        return self._eval(x, -1)
 
     def eval_sigma(self, x) -> np.ndarray:
         """sigma0 at path positions x (vectorized)."""
-        return self._eval(x, 0, self._series.sigma)
+        return self._eval(x, 0)
 
     def vertical_log_integral(self, tau) -> np.ndarray:
         """Log-integral along the initial lift t = t0 + i tau (lifted paths)."""
         if self._vertical is None:
             raise ValueError("trajectory has no vertical segment")
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return self._vertical(tau)[-1]
+        return self._vertical(_checked(tau, self.elevation, "lift heights"))[-1]
 
     def log_integral_real_axis(self, lam: float) -> complex:
-        """Log-integral at the real point t = lam, descending if lifted."""
-        y = self.state_at(lam)
+        """Log-integral at the real point t = lam, descending if lifted.
+
+        The descent starts on the sigma'' root nearer a central difference
+        of the path's own sigma' at lam; only the nearer-root choice
+        matters, so a coarse stencil is enough.
+        """
+        lam = float(_checked(lam, self.t_max, "lambda")[0])
         if lam <= self.series_radius or not self.elevation:
-            return complex(y[-1])
+            return complex(self._eval(lam, -1)[0])
+        y = self._dense(lam)
+        lo, hi = max(lam - 1e-3, self.series_radius), min(lam + 1e-3, self.t_max)
+        sp_lo, sp_hi = self._dense([lo, hi])[1]
         branch = {"spp": _select_spp(lam + 1j * self.elevation, y[0], y[1],
-                                     self._branch_state["spp"])}
+                                     (sp_hi - sp_lo) / (hi - lo))}
         rhs = _make_rhs(lambda tau: lam + 1j * tau, branch)
         sol = solve_ivp(
             lambda tau, yy: 1j * rhs(tau, yy), (self.elevation, 0.0), y,
@@ -323,69 +327,18 @@ class SigmaTrajectory:
         out = np.empty(x.shape)
         for i, xi in enumerate(x):
             t = xi + 1j * self.elevation if xi > self.series_radius else xi
-            st = self.state_at(xi)
-            s, sp = st[0], st[1]
+            s, sp = self._eval(xi, 0)[0], self._eval(xi, 1)[0]
             if xi > 3 * h + 1e-3:
-                vals = [self.state_at(xi + m * h)[1]
-                        for m in (-3, -2, -1, 1, 2, 3)]
-                spp_fd = (-vals[0] + 9 * vals[1] - 45 * vals[2]
-                          + 45 * vals[3] - 9 * vals[4] + vals[5]) / (60.0 * h)
+                vals = self._eval(xi + h * np.array([-3, -2, -1, 1, 2, 3]), 1)
+                spp_fd = np.dot([-1, 9, -45, 45, -9, 1], vals) / (60.0 * h)
             else:
                 lo = max(xi - h, 1e-3)
-                spp_fd = (self.state_at(xi + h)[1] - self.state_at(lo)[1]) / (
-                    xi + h - lo)
+                sp_lo, sp_hi = self._eval([lo, xi + h], 1)
+                spp_fd = (sp_hi - sp_lo) / (xi + h - lo)
             f = t * sp - s
             g = (t * spp_fd) ** 2 + f * (f + 4.0 * sp * sp)
             out[i] = abs(g) / max(1.0, abs(s) ** 2)
         return out
-
-    # -- construction ------------------------------------------------------
-
-    def extend(self, t_max: float):
-        """Grow the trajectory monotonically up to path position t_max."""
-        if t_max <= self.t_max:
-            return self
-        if self.zeta == 0:
-            return self
-        x0 = self.t_max
-        y0 = self.state_at(x0)
-        if self.elevation:
-            if not self._segments:
-                y0 = self._lift(y0)
-            rhs = _make_rhs(lambda x: x + 1j * self.elevation,
-                            self._branch_state)
-        else:
-            rhs = _rhs_third_order
-        # lifted segments need tighter control: dense-output wiggle and
-        # the accumulated error of the branch-tracked form both sit near
-        # the residual tolerance at the default settings
-        rtol, atol, cap = (self._config.rtol, self._config.atol, np.inf)
-        if self.elevation:
-            rtol, atol, cap = 1e-13, 1e-14, 0.02
-        sol = solve_ivp(rhs, (x0, t_max), y0, method="DOP853",
-                        rtol=rtol, atol=atol, max_step=cap,
-                        dense_output=True)
-        if not sol.success:
-            raise SolverError(
-                f"integration stalled at t = {sol.t[-1]:.6g} "
-                f"(omega-path for zeta = {self.zeta})", t_star=float(sol.t[-1]))
-        self._segments.append(sol.sol)
-        return self
-
-    def _lift(self, y) -> np.ndarray:
-        """Carry the series state y at t0 = series_radius along the vertical
-        lift t = t0 + i tau up to the path; keeps the lift's dense solution."""
-        t0 = self.series_radius
-        self._branch_state["spp"] = complex(self._series.sigma_pp(t0))
-        rhs = _make_rhs(lambda tau: t0 + 1j * tau, self._branch_state)
-        sol = solve_ivp(lambda tau, yy: 1j * rhs(tau, yy),
-                        (0.0, self.elevation), y, method="DOP853",
-                        rtol=self._config.rtol, atol=self._config.atol,
-                        dense_output=True)
-        if not sol.success:
-            raise SolverError("vertical lift failed", t_star=t0)
-        self._vertical = sol.sol
-        return sol.y[:, -1]
 
 
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
@@ -394,23 +347,58 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
 
     ``elevation`` overrides the automatic path choice: for zeta on the
     circle with omega > config.elevation_omega the path is lifted to
-    Im t = config.elevation to stay clear of real-axis poles.
+    Im t = config.elevation to stay clear of real-axis poles.  The
+    trajectory is frozen; a longer path is a new solve.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     z = _as_zeta(zeta)
-    if z == 0:
-        return SigmaTrajectory(zeta=0j, series_radius=t_max, elevation=0.0,
-                               _series=_Series(0j, config))
     if elevation is None:
         omega = _omega_of(z)
         elevation = (config.elevation
                      if (omega is not None and omega > config.elevation_omega)
                      else 0.0)
     ser = _Series(z, config)
-    traj = SigmaTrajectory(zeta=z, series_radius=ser.radius(config),
-                           elevation=elevation, _series=ser, _config=config)
-    return traj.extend(t_max)
+    # sigma0 vanishes identically at zeta = 0: the series serves any t_max
+    t0 = ser.radius(config) if z else t_max
+    if t_max <= t0:
+        return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
+                               _series=ser, _config=config)
+    head = [ser.sigma(t0), ser.sigma_prime(t0)]
+    if not elevation:
+        head.append(ser.sigma_pp(t0))
+    y0 = np.array(head + [ser.log_integral(t0)], dtype=complex)
+    vertical = None
+    if elevation:
+        # one branch tracker for the whole integration: seeded by the
+        # series sigma'' at t0, carried up the lift t = t0 + i tau and on
+        # along the path
+        branch = {"spp": complex(ser.sigma_pp(t0))}
+        lift = _make_rhs(lambda tau: t0 + 1j * tau, branch)
+        up = solve_ivp(lambda tau, yy: 1j * lift(tau, yy), (0.0, elevation),
+                       y0, method="DOP853", rtol=config.rtol, atol=config.atol,
+                       dense_output=True)
+        if not up.success:
+            raise SolverError("vertical lift failed", t_star=t0)
+        vertical, y0 = up.sol, up.y[:, -1]
+        rhs = _make_rhs(lambda x: x + 1j * elevation, branch)
+        # tighter tolerances and a step cap on the lifted path: without the
+        # cap a lifted spectrum node saves 2.7-4.1 s of CPU, but S moves by
+        # up to 1.8e-12 (omega = 2.75) and its error estimate grows from
+        # 1e-11..3e-11 to 8e-10..7.5e-9
+        rtol, atol, cap = 1e-13, 1e-14, 0.02
+    else:
+        rhs = _rhs_third_order
+        rtol, atol, cap = config.rtol, config.atol, np.inf
+    sol = solve_ivp(rhs, (t0, t_max), y0, method="DOP853",
+                    rtol=rtol, atol=atol, max_step=cap, dense_output=True)
+    if not sol.success:
+        raise SolverError(
+            f"integration stalled at t = {sol.t[-1]:.6g} "
+            f"(omega-path for zeta = {z})", t_star=float(sol.t[-1]))
+    return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
+                           _series=ser, _dense=sol.sol, _vertical=vertical,
+                           _config=config)
 
 
 def _omega_of(z: complex) -> float | None:

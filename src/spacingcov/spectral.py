@@ -46,6 +46,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from zipfile import BadZipFile
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
@@ -341,15 +342,19 @@ class SpectrumInterpolant:
         if cache_path is None:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
         # the file is keyed by everything that produced it (the edges follow
-        # from config.omega_min); any other file is rebuilt and overwritten
+        # from config.omega_min); a file of any other key, or one np.load
+        # cannot read, is rebuilt and overwritten
         key = json.dumps(asdict(config), sort_keys=True)
         if cache_path and os.path.exists(cache_path):
-            with np.load(cache_path, allow_pickle=False) as data:
-                if (str(data.get("config")) == key
-                        and int(data["nodes"]) == nodes):
-                    coeffs = [data[f"c{i}"] for i in range(len(edges) - 1)]
-                    return cls(np.array(edges), coeffs, omega_min,
-                               config.backend)
+            try:
+                with np.load(cache_path, allow_pickle=False) as data:
+                    if (str(data.get("config")) == key
+                            and int(data["nodes"]) == nodes):
+                        coeffs = [data[f"c{i}"] for i in range(len(edges) - 1)]
+                        return cls(np.array(edges), coeffs, omega_min,
+                                   config.backend)
+            except (OSError, EOFError, KeyError, ValueError, BadZipFile):
+                pass
         coeffs = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             xc = np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)  # Cheb pts
@@ -360,7 +365,10 @@ class SpectrumInterpolant:
             payload = {"config": key, "nodes": nodes}
             for i, c in enumerate(coeffs):
                 payload[f"c{i}"] = c
-            np.savez(cache_path, **payload)
+            # a whole file or none: a build cut short leaves no half file
+            tmp = str(cache_path) + ".tmp.npz"  # savez appends .npz otherwise
+            np.savez(tmp, **payload)
+            os.replace(tmp, cache_path)
         return cls(np.array(edges), coeffs, omega_min, config.backend)
 
     def __call__(self, omega):

@@ -33,6 +33,12 @@ class TestParser:
             main(["spectrum", "--bogus", "1"])
         assert exc.value.code == 2
 
+    def test_threads_only_on_montecarlo(self, capsys):
+        # only the Monte Carlo run has parallel workers to cap
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--threads", "2"])
+        assert exc.value.code == 2
+
 
 class TestSpectrum:
     def test_csv_output(self, tmp_path):

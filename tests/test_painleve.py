@@ -123,14 +123,6 @@ class TestSolver:
         res = traj.residual(np.linspace(1.0, 19.0, 8))
         assert np.max(res) < 1e-9
 
-    def test_monotone_extension_consistency(self):
-        z = 1.0 - np.exp(1j * 1.3)
-        a = solve_sigma0(z, 30.0)
-        b = solve_sigma0(z, 10.0).extend(30.0)
-        x = np.linspace(1.0, 29.0, 9)
-        assert np.allclose(a.eval_log_integral(x), b.eval_log_integral(x),
-                           rtol=0, atol=1e-9)
-
     def test_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
             solve_sigma0(1.0, 0.0)
@@ -144,33 +136,51 @@ class TestSolver:
         assert data.shape == (len(traj.t_grid), 5)
 
     @pytest.mark.parametrize("omega, t_max", [(1.3, 30.0), (3.0, 20.0)],
-                             ids=["two_segments", "lifted"])
+                             ids=["real", "lifted"])
     def test_vectorized_evaluators_match_pointwise(self, omega, t_max):
         z = 1.0 - np.exp(1j * omega)
-        traj = solve_sigma0(z, 10.0).extend(t_max)
-        ends = [seg.t_max for seg in traj._segments]
+        traj = solve_sigma0(z, t_max)
+        assert traj.t_max == t_max
         x = np.concatenate([[0.0, 0.5 * traj.series_radius, traj.series_radius],
-                            ends, np.linspace(0.1, t_max, 41)])
+                            traj.t_grid, np.linspace(0.1, t_max, 41)])
         x = np.random.default_rng(0).permutation(x)
 
         def pointwise(row, series):
-            out = []
-            for xi in x:
-                if xi <= traj.series_radius:
-                    out.append(series(np.array([xi]))[0])
-                else:
-                    seg = next(s for s in traj._segments if xi <= s.t_max)
-                    out.append(seg(xi)[row])
-            return np.array(out)
+            return np.array([series(np.array([xi]))[0]
+                             if xi <= traj.series_radius else traj._dense(xi)[row]
+                             for xi in x])
 
         assert np.array_equal(traj.eval_sigma(x),
                               pointwise(0, traj._series.sigma))
         assert np.array_equal(traj.eval_log_integral(x),
                               pointwise(-1, traj._series.log_integral))
+        # nothing is extrapolated beyond the integrated path
+        for bad in (-1e-9, np.nextafter(t_max, np.inf), 2.0 * t_max, np.nan):
+            for evaluate in (traj.eval_sigma, traj.eval_log_integral,
+                             traj.log_integral_real_axis, traj.residual):
+                with pytest.raises(ValueError):
+                    evaluate(bad)
+            with pytest.raises(ValueError):
+                traj.eval_log_integral([1.0, bad])
         if traj.elevation:
             tau = np.array([0.0, 0.3, 0.7 * traj.elevation, traj.elevation])
             assert np.array_equal(traj.vertical_log_integral(tau),
                                   [traj._vertical(v)[-1] for v in tau])
+            with pytest.raises(ValueError):
+                traj.vertical_log_integral(1.5 * traj.elevation)
+
+    @pytest.mark.parametrize("omega", [2.8, np.pi])
+    def test_lifted_descent_below_t_max(self, omega):
+        # the descent starts on the sigma'' branch of the trajectory at
+        # lambda itself, wherever the integration ended
+        z = 1.0 - np.exp(1j * omega)
+        for t_max in (10.0, 30.0):
+            traj = solve_sigma0(z, t_max)
+            assert traj.elevation
+            for lam in (0.7, 2.0, 5.0, 9.0, 10.0):
+                det = sine_kernel_det_auto(z, lam / TWO_PI)
+                L = traj.log_integral_real_axis(lam)
+                assert abs(np.exp(L) - det) < 1e-8
 
 
 class TestLogGeneratingFunction:

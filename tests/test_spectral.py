@@ -293,3 +293,12 @@ class TestInterpolant:
             assert np.array_equal(a, b)
         build(nodes=5)                      # other node count: rebuilt
         assert calls
+        with open(path, "rb") as fh:
+            whole = fh.read()
+        for broken in (whole[: len(whole) // 2], b""):
+            with open(path, "wb") as fh:    # a write cut short
+                fh.write(broken)
+            build(nodes=5)                  # unreadable: rebuilt
+            assert calls
+            build(nodes=5)                  # and overwritten whole
+            assert calls == []
