@@ -14,6 +14,7 @@ agree to the requested tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,15 @@ class DeterminantRequest:
             raise ValueError("nodes must be >= 4")
 
 
+@lru_cache(maxsize=1024)
+def _nystrom_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: leggauss
+    costs an O(n^3) eigensolve, over half of a determinant at n = 241."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def sine_kernel_det(req: DeterminantRequest) -> complex:
     """det(I - zeta W^{1/2} K W^{1/2}) on Gauss-Legendre nodes in (0, s).
 
@@ -52,7 +62,7 @@ def sine_kernel_det(req: DeterminantRequest) -> complex:
     s = complex(req.interval_length)
     if s == 0:
         return 1.0 + 0j
-    x, w = np.polynomial.legendre.leggauss(req.nodes)
+    x, w = _nystrom_rule(req.nodes)
     # map [-1, 1] to the segment [0, s]
     t = 0.5 * s * (x + 1.0)
     w = 0.5 * s * w

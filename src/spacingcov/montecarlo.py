@@ -11,8 +11,10 @@ sums (spacing first moments, the full spacing cross-moment matrix, and
 per-lag product second moments), from which the exact two-pass statistics
 -- including Delta_l from all M samples -- are reconstructed at the end.
 Chunk RNG streams are spawned from one seed, so results are bit-identical
-for a given config regardless of thread count, and a checkpoint of the
-partial sums makes runs resumable.
+for a given config whatever the number of worker threads, at a fixed BLAS
+thread count: the cross-moment sums are BLAS products whose summation
+order follows that count (about 1 ulp apart between 1 and 2 OpenBLAS
+threads).  A checkpoint of the partial sums makes runs resumable.
 
 Samplers: dense QR of a complex Ginibre matrix with the phase correction,
 and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about

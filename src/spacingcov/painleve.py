@@ -15,7 +15,8 @@ logarithm of a sine-kernel Fredholmdeterminant; its exponential is the
 integrand of the spacing power spectrum.
 
 Integration strategy: a truncated power series on [0, t0], then one
-adaptive Runge-Kutta solve with dense output.  On the real axis it runs the
+adaptive DOP853 solve, which keeps either its dense output or only the
+values at positions asked for in advance.  On the real axis it runs the
 branch-free differentiated third-order form.  That form does not damp
 constraint perturbations: at omega around 2.5-2.9 the error in the
 log-integral grows about quadratically with t (7e-9 by t = 400 at
@@ -35,9 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
 
 TWO_PI = 2.0 * np.pi
+# smallest sigma'' branch margin accepted (see _select_spp).  Over the six
+# lifted nodes of the 96-node spectrum build the smallest margin seen was
+# 0.978 on the node-reading solve (omega = 2.86, t = 37.6 + i), 0.960 on
+# the dense one and 0.940 on descents from lambda in [0.7, 399]; the
+# bound sits 9.4 times below that
+BRANCH_MARGIN = 0.1
 
 
 class SolverError(RuntimeError):
@@ -46,6 +53,11 @@ class SolverError(RuntimeError):
     def __init__(self, message, t_star=None):
         super().__init__(message)
         self.t_star = t_star
+
+
+class BranchAmbiguityError(SolverError):
+    """The two sigma'' roots lie nearly as close to the tracked value: the
+    branch is not decided by continuity.  t_star is the point t."""
 
 
 @dataclass(frozen=True)
@@ -171,10 +183,22 @@ class _Series:
 
 def _select_spp(t, s, sp, prev):
     """The root sigma'' of (t s'')^2 = -f (f + 4 s'^2), f = t s' - s,
-    on the branch closer to the previously selected value ``prev``."""
+    on the branch closer to the previously selected value ``prev``.
+
+    The choice is decided by the margin |Re(r conj(prev))| / (|r| |prev|),
+    the |cosine| of the angle between r and prev: 1 when prev points along
+    a root, 0 at a tie.  With the distances a = |r - prev| and
+    b = |r + prev|, Re(r conj(prev)) = (b^2 - a^2)/4.  Below BRANCH_MARGIN
+    it raises BranchAmbiguityError rather than guess.
+    """
     f = t * sp - s
     r = np.sqrt(-f * (f + 4.0 * sp * sp) + 0j) / t
-    return r if abs(r - prev) <= abs(-r - prev) else -r
+    a, b = abs(r - prev), abs(-r - prev)
+    if r and abs(b * b - a * a) <= 4.0 * BRANCH_MARGIN * abs(r) * abs(prev):
+        raise BranchAmbiguityError(
+            f"sigma'' branch undecided at t = {t}: the roots +-{r} lie "
+            f"{a:.3g} and {b:.3g} from the tracked value", t_star=complex(t))
+    return r if a <= b else -r
 
 
 def _make_rhs(t_of_x, branch_state):
@@ -215,6 +239,47 @@ def _rhs_third_order(x, y):
     f = t * sp - s
     sppp = -(t * spp + t * f + 2.0 * t * sp * sp + 4.0 * f * sp) / (t * t)
     return np.array([sp, spp, sppp, s / t], dtype=complex)
+
+
+def _integrate(fun, span, y0, rtol, atol, what, t_star=None,
+               max_step=np.inf, at=None):
+    """One DOP853 solve over ``span``, stepped as solve_ivp steps it.
+
+    Returns (ends, y, out): the end of every accepted step, the final
+    state, and either the dense OdeSolution (``at`` None) or the states at
+    the positions ``at`` of an increasing span, each read from the
+    interpolant of the step (t_old, t] that holds it, as OdeSolution reads
+    it.  A step's interpolant (Hairer-Norsett-Wanner, Solving ODEs I,
+    II.6: three more right-hand-side stages) is built only when a position
+    falls inside it.  A failed step raises SolverError at ``t_star``, by
+    default where the solve stalled.
+    """
+    solver = DOP853(fun, span[0], y0, span[1], rtol=rtol, atol=atol,
+                    max_step=max_step)
+    if at is not None:
+        order = np.argsort(at, kind="stable")
+        pending = at[order]
+    ends, pieces, done = [], [], 0
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            raise SolverError(
+                f"{what} stalled at {solver.t:.6g}",
+                t_star=float(solver.t) if t_star is None else t_star)
+        ends.append(solver.t)
+        if at is None:
+            pieces.append(solver.dense_output())
+            continue
+        upto = np.searchsorted(pending, solver.t, side="right")
+        if upto > done:
+            pieces.append(solver.dense_output()(pending[done:upto]))
+            done = upto
+    if at is None:
+        out = OdeSolution([span[0]] + ends, pieces)
+    else:
+        out = np.empty((len(y0), len(at)), dtype=complex)
+        out[:, order] = np.hstack([out[:, :0]] + pieces)
+    return np.array(ends), solver.y, out
 
 
 def _checked(x, hi: float, what: str) -> np.ndarray:
@@ -303,13 +368,13 @@ class SigmaTrajectory:
         branch = {"spp": _select_spp(lam + 1j * self.elevation, y[0], y[1],
                                      (sp_hi - sp_lo) / (hi - lo))}
         rhs = _make_rhs(lambda tau: lam + 1j * tau, branch)
-        sol = solve_ivp(
+        # no positions: no interpolant, only the end state
+        _, y, _ = _integrate(
             lambda tau, yy: 1j * rhs(tau, yy), (self.elevation, 0.0), y,
-            method="DOP853", rtol=self._config.rtol, atol=self._config.atol)
-        if not sol.success:
-            raise SolverError(
-                f"descent to the real axis failed near t = {lam}", t_star=lam)
-        return complex(sol.y[-1, -1])
+            self._config.rtol, self._config.atol,
+            f"the descent to the real axis at t = {lam}", t_star=lam,
+            at=np.empty(0))
+        return complex(y[-1])
 
     # -- residual diagnostics ---------------------------------------------
 
@@ -341,64 +406,103 @@ class SigmaTrajectory:
         return out
 
 
+@dataclass(frozen=True)
+class PathValues:
+    """The log-integral of one integration at the points asked for in
+    advance, and nothing else of it."""
+
+    t_grid: np.ndarray                    # as SigmaTrajectory.t_grid
+    log_integral: np.ndarray              # at the path positions
+    vertical_log_integral: np.ndarray     # at the lift heights
+
+
+def _default_elevation(z: complex, config: SolverConfig) -> float:
+    omega = _omega_of(z)
+    lifted = omega is not None and omega > config.elevation_omega
+    return config.elevation if lifted else 0.0
+
+
+def path_geometry(zeta, config: SolverConfig = DEFAULT_CONFIG):
+    """(series_radius, elevation) of the path solve_sigma0 takes by
+    default for zeta != 0; a lifted path (elevation > 0) leaves the real
+    axis at the series radius."""
+    z = _as_zeta(zeta)
+    return _Series(z, config).radius(config), _default_elevation(z, config)
+
+
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
-                 elevation: float | None = None) -> SigmaTrajectory:
+                 elevation: float | None = None, positions=None, heights=()):
     """Integrate sigma0(t; zeta) with its log-integral up to t_max.
 
     ``elevation`` overrides the automatic path choice: for zeta on the
     circle with omega > config.elevation_omega the path is lifted to
     Im t = config.elevation to stay clear of real-axis poles.  The
     trajectory is frozen; a longer path is a new solve.
+
+    With ``positions`` (path positions in [0, t_max]) the solve keeps no
+    dense solution: it returns PathValues, the log-integral at those
+    positions and, on a lifted path, at the lift ``heights`` in
+    [0, elevation], read off the same steps the dense solution is made of.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     z = _as_zeta(zeta)
     if elevation is None:
-        omega = _omega_of(z)
-        elevation = (config.elevation
-                     if (omega is not None and omega > config.elevation_omega)
-                     else 0.0)
+        elevation = _default_elevation(z, config)
     ser = _Series(z, config)
     # sigma0 vanishes identically at zeta = 0: the series serves any t_max
     t0 = ser.radius(config) if z else t_max
-    if t_max <= t0:
+    at = at_lift = None
+    if positions is not None:
+        positions = _checked(positions, t_max, "path positions")
+        small = positions <= t0
+        at = positions[~small]
+        if len(heights) and not (elevation and t_max > t0):
+            raise ValueError("trajectory has no vertical segment")
+        at_lift = _checked(heights, elevation, "lift heights")
+    ends, path, lift = [], None, None
+    if t_max > t0:
+        head = [ser.sigma(t0), ser.sigma_prime(t0)]
+        if not elevation:
+            head.append(ser.sigma_pp(t0))
+        y0 = np.array(head + [ser.log_integral(t0)], dtype=complex)
+        if elevation:
+            # one branch tracker for the whole integration: seeded by the
+            # series sigma'' at t0, carried up the lift t = t0 + i tau and
+            # on along the path
+            branch = {"spp": complex(ser.sigma_pp(t0))}
+            up = _make_rhs(lambda tau: t0 + 1j * tau, branch)
+            _, y0, lift = _integrate(
+                lambda tau, yy: 1j * up(tau, yy), (0.0, elevation), y0,
+                config.rtol, config.atol, "the vertical lift",
+                t_star=t0, at=at_lift)
+            rhs = _make_rhs(lambda x: x + 1j * elevation, branch)
+            # tighter tolerances and a step cap on the lifted path: without
+            # the cap a lifted spectrum node saves 2.7-4.1 s of CPU, but S
+            # moves by up to 1.8e-12 (omega = 2.75) and its error estimate
+            # grows from 1e-11..3e-11 to 8e-10..7.5e-9.  The cap bounds step
+            # error, not interpolation: uncapped step ends are as far off
+            # (1e-10 relative in the fit window) as uncapped dense values
+            rtol, atol, cap = 1e-13, 1e-14, 0.02
+        else:
+            rhs = _rhs_third_order
+            rtol, atol, cap = config.rtol, config.atol, np.inf
+        ends, _, path = _integrate(
+            rhs, (t0, t_max), y0, rtol, atol,
+            f"the omega-path for zeta = {z}", max_step=cap,
+            at=at)
+    if positions is None:
         return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
-                               _series=ser, _config=config)
-    head = [ser.sigma(t0), ser.sigma_prime(t0)]
-    if not elevation:
-        head.append(ser.sigma_pp(t0))
-    y0 = np.array(head + [ser.log_integral(t0)], dtype=complex)
-    vertical = None
-    if elevation:
-        # one branch tracker for the whole integration: seeded by the
-        # series sigma'' at t0, carried up the lift t = t0 + i tau and on
-        # along the path
-        branch = {"spp": complex(ser.sigma_pp(t0))}
-        lift = _make_rhs(lambda tau: t0 + 1j * tau, branch)
-        up = solve_ivp(lambda tau, yy: 1j * lift(tau, yy), (0.0, elevation),
-                       y0, method="DOP853", rtol=config.rtol, atol=config.atol,
-                       dense_output=True)
-        if not up.success:
-            raise SolverError("vertical lift failed", t_star=t0)
-        vertical, y0 = up.sol, up.y[:, -1]
-        rhs = _make_rhs(lambda x: x + 1j * elevation, branch)
-        # tighter tolerances and a step cap on the lifted path: without the
-        # cap a lifted spectrum node saves 2.7-4.1 s of CPU, but S moves by
-        # up to 1.8e-12 (omega = 2.75) and its error estimate grows from
-        # 1e-11..3e-11 to 8e-10..7.5e-9
-        rtol, atol, cap = 1e-13, 1e-14, 0.02
-    else:
-        rhs = _rhs_third_order
-        rtol, atol, cap = config.rtol, config.atol, np.inf
-    sol = solve_ivp(rhs, (t0, t_max), y0, method="DOP853",
-                    rtol=rtol, atol=atol, max_step=cap, dense_output=True)
-    if not sol.success:
-        raise SolverError(
-            f"integration stalled at t = {sol.t[-1]:.6g} "
-            f"(omega-path for zeta = {z})", t_star=float(sol.t[-1]))
-    return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
-                           _series=ser, _dense=sol.sol, _vertical=vertical,
-                           _config=config)
+                               _series=ser, _dense=path, _vertical=lift,
+                               _config=config)
+    logint = np.empty(positions.shape, dtype=complex)
+    logint[small] = ser.log_integral(positions[small])
+    if path is not None:
+        logint[~small] = path[-1]
+    return PathValues(
+        t_grid=np.concatenate([[0.0], ends]), log_integral=logint,
+        vertical_log_integral=np.empty(0, complex) if lift is None
+        else lift[-1])
 
 
 def _omega_of(z: complex) -> float | None:

@@ -54,7 +54,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import zeta as riemann_zeta
 
 from .fredholm import DeterminantRequest, gap_probability, sine_kernel_det
-from .painleve import DEFAULT_CONFIG, SolverConfig, solve_sigma0
+from .painleve import (DEFAULT_CONFIG, SolverConfig, path_geometry,
+                       solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,40 +118,38 @@ def _panel_rule(breaks, config: SpectrumConfig):
 
 
 def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
-    """(g, vertical, split, elevation): g(x) = exp L at path positions x,
-    on Im t = elevation beyond the handoff point ``split`` where a lifted
-    contour leaves the real axis (g jumps there, so quadrature panels must
-    not straddle it); vertical is the integral over the lift in between."""
+    """(x, w, values, vertical, elevation): the head's quadrature rule x, w
+    on [0, x_max] and values = exp L at its path positions x, on
+    Im t = elevation beyond the handoff point where a lifted contour leaves
+    the real axis (exp L jumps there, so no panel straddles it); vertical
+    is the integral over the lift in between.  The solve reports L at
+    these nodes only."""
     zeta = 1.0 - np.exp(1j * omega)
-    traj = solve_sigma0(zeta, x_max, config.solver)
-
-    def g(x):
-        return np.exp(traj.eval_log_integral(x))
-
+    t0, elevation = path_geometry(zeta, config.solver)
+    x, w = _panel_rule([0.0, t0 if elevation else 0.0, TAIL_START, x_max],
+                       config)
+    gx, gw = leggauss(config.panel_nodes)
+    # contour piece t = t0 + i tau, dt = i dtau
+    tau = 0.5 * elevation * (gx + 1.0) if elevation else ()
+    at = solve_sigma0(zeta, x_max, config.solver, elevation, positions=x,
+                      heights=tau)
     vertical = 0j
-    split = 0.0
-    if traj.elevation:
-        # contour piece t = t0 + i tau, dt = i dtau
-        gx, gw = leggauss(config.panel_nodes)
-        tau = 0.5 * traj.elevation * (gx + 1.0)
-        Lv = traj.vertical_log_integral(tau)
-        vertical = 0.5 * traj.elevation * np.sum(gw * (1j * np.exp(Lv)))
-        split = traj.series_radius
-    return g, vertical, split, traj.elevation
+    if elevation:
+        vertical = 0.5 * elevation * np.sum(
+            gw * (1j * np.exp(at.vertical_log_integral)))
+    return x, w, np.exp(at.log_integral), vertical, elevation
 
 
-def _fredholm_path(omega: float):
+def _fredholm_path(omega: float, x_max: float, config: SpectrumConfig):
     """As _painleve_path, on the real axis: det(I - zeta K_{lam/2pi}) with a
     fixed Nystrom node count ceil(3.4 s + 24) at s = lam/2pi."""
     zeta = 1.0 - np.exp(1j * omega)
-
-    def g(lam):
-        return np.array([
-            sine_kernel_det(DeterminantRequest(
-                zeta, l / TWO_PI, int(np.ceil(3.4 * l / TWO_PI + 24))))
-            for l in lam])
-
-    return g, 0j, 0.0, 0.0
+    x, w = _panel_rule([0.0, TAIL_START, x_max], config)
+    values = np.array([
+        sine_kernel_det(DeterminantRequest(
+            zeta, l / TWO_PI, int(np.ceil(3.4 * l / TWO_PI + 24))))
+        for l in x])
+    return x, w, values, 0j, 0.0
 
 
 def _tail(v: float, x, values, elevation: float, order: int):
@@ -197,12 +196,8 @@ def power_spectrum(omega: float,
         return power_spectrum_small_omega(omega), 5.0 * omega ** 4
     lo, hi = FIT_WINDOW
     end = max(TAIL_START, hi)
-    if config.backend == "painleve":
-        g, vertical, split, elevation = _painleve_path(omega, end, config)
-    else:
-        g, vertical, split, elevation = _fredholm_path(omega)
-    x, w = _panel_rule([0.0, split, TAIL_START, end], config)
-    values = g(x)
+    path = _painleve_path if config.backend == "painleve" else _fredholm_path
+    x, w, values, vertical, elevation = path(omega, end, config)
     inside = x < TAIL_START
     head = vertical + np.sum(w[inside] * values[inside])
     fit = (x >= lo) & (x <= hi)

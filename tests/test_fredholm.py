@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spacingcov import fredholm
 from spacingcov.fredholm import (ConvergenceError, DeterminantRequest,
                                  gap_probability, sine_kernel_det,
                                  sine_kernel_det_auto)
@@ -13,6 +14,24 @@ GAP_S1 = 0.17021742137918544
 
 
 class TestDeterminant:
+    @pytest.mark.parametrize("nodes", [24, 241])
+    def test_cached_rule_matches_direct(self, nodes):
+        x, w = fredholm._nystrom_rule(nodes)
+        assert fredholm._nystrom_rule(nodes)[0] is x
+        gx, gw = np.polynomial.legendre.leggauss(nodes)
+        assert np.array_equal(x, gx) and np.array_equal(w, gw)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        zeta, s = 1.0 - np.exp(2.0j), 7.3
+        t, wt = 0.5 * (s + 0j) * (gx + 1.0), 0.5 * (s + 0j) * gw
+        sq = np.sqrt(wt)
+        A = np.eye(nodes, dtype=complex) - zeta * (
+            sq[:, None] * np.sinc(np.subtract.outer(t, t)) * sq[None, :])
+        sign, logdet = np.linalg.slogdet(A)
+        assert sine_kernel_det(DeterminantRequest(zeta, s, nodes)) == (
+            sign * np.exp(logdet))
+
     def test_empty_interval(self):
         assert sine_kernel_det(DeterminantRequest(0.5 + 0.5j, 0.0)) == 1.0
 

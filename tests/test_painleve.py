@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numpy.polynomial.legendre import leggauss
+
+from spacingcov import painleve, spectral
 from spacingcov.fredholm import sine_kernel_det_auto
-from spacingcov.painleve import (SpectralParameter, log_generating_function,
+from spacingcov.painleve import (BranchAmbiguityError, SpectralParameter,
+                                 log_generating_function, path_geometry,
                                  series_sigma0, solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
@@ -181,6 +185,81 @@ class TestSolver:
                 det = sine_kernel_det_auto(z, lam / TWO_PI)
                 L = traj.log_integral_real_axis(lam)
                 assert abs(np.exp(L) - det) < 1e-8
+
+
+    @pytest.mark.parametrize("omega", [1.0, 3.0], ids=["real", "lifted"])
+    def test_node_values_match_dense_solution(self, omega):
+        # asked for in advance, L at the spectrum's quadrature nodes and
+        # lift heights is read off the same steps as the dense solution
+        z = 1.0 - np.exp(1j * omega)
+        t0, elevation = path_geometry(z)
+        config = spectral.DEFAULT_SPECTRUM_CONFIG
+        x, _ = spectral._panel_rule(
+            [0.0, t0 if elevation else 0.0, spectral.TAIL_START,
+             spectral.TAIL_START], config)
+        tau = 0.5 * elevation * (leggauss(config.panel_nodes)[0] + 1.0)
+        heights = tau if elevation else ()
+        x = np.random.default_rng(1).permutation(x)
+        at = solve_sigma0(z, spectral.TAIL_START, positions=x,
+                          heights=heights)
+        traj = solve_sigma0(z, spectral.TAIL_START)
+        assert traj.elevation == elevation
+        assert np.array_equal(at.t_grid, traj.t_grid)
+        assert np.array_equal(at.log_integral, traj.eval_log_integral(x))
+        if elevation:
+            assert np.array_equal(at.vertical_log_integral,
+                                  traj.vertical_log_integral(tau))
+        else:
+            assert at.vertical_log_integral.size == 0
+            with pytest.raises(ValueError):
+                solve_sigma0(z, 5.0, positions=[1.0], heights=[0.5])
+
+    def test_node_positions_are_checked(self):
+        z = 1.0 - np.exp(3.0j)
+        for positions, heights in (([1.0, 5.5], ()), ([1.0], [1.5]),
+                                   ([np.nan], ())):
+            with pytest.raises(ValueError):
+                solve_sigma0(z, 5.0, positions=positions, heights=heights)
+        # inside the series radius no step is taken
+        at = solve_sigma0(z, 0.1, positions=[0.05, 0.1])
+        assert np.array_equal(at.t_grid, [0.0])
+        assert np.array_equal(at.log_integral,
+                              solve_sigma0(z, 0.1).eval_log_integral([0.05, 0.1]))
+
+
+class TestBranchChoice:
+    def test_tie_raises(self):
+        # a tracked value a quarter turn from both roots decides nothing
+        t, s, sp = 5.0 + 1.0j, -0.3 + 0.2j, 0.1 - 0.4j
+        f = t * sp - s
+        r = np.sqrt(-f * (f + 4.0 * sp * sp)) / t
+        assert painleve._select_spp(t, s, sp, 0.9 * r) == r
+        assert painleve._select_spp(t, s, sp, -1.1 * r) == -r
+        for prev in (1j * r, -2j * r, 0.0):
+            with pytest.raises(BranchAmbiguityError) as info:
+                painleve._select_spp(t, s, sp, prev)
+            assert info.value.t_star == t
+
+    def test_lifted_near_tie_raises(self):
+        # at omega = 2.95 the lifted path meets a near-tie at t = 508.93 + i;
+        # without the guard it went on along the other branch, and exp L
+        # left the Fredholm determinant there (4e-11 at t = 505 + i,
+        # 1e-5 at 510 + i, 7e-3 at 550 + i)
+        with pytest.raises(BranchAmbiguityError) as info:
+            solve_sigma0(1.0 - np.exp(2.95j), 600.0)
+        assert abs(info.value.t_star - (508.93 + 1.0j)) < 0.01
+
+    def test_lift_seeded_off_branch_raises(self, monkeypatch):
+        # a lifted solve whose seed sigma'' is turned a quarter turn away
+        # from both roots stops at the foot of the lift
+        z = 1.0 - np.exp(3.0j)
+        t0, _ = path_geometry(z)
+        sigma_pp = painleve._Series.sigma_pp
+        monkeypatch.setattr(painleve._Series, "sigma_pp",
+                            lambda self, t: 1j * sigma_pp(self, t))
+        with pytest.raises(BranchAmbiguityError) as info:
+            solve_sigma0(z, 5.0)
+        assert info.value.t_star == t0
 
 
 class TestLogGeneratingFunction:

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
@@ -34,6 +39,19 @@ PANEL_EXTRAPOLATOR = {
     np.pi: float.fromhex("0x1.158cbf885b4d4p-2"),
 }
 
+# (value, error) of power_spectrum with one BLAS thread, as float.hex, from
+# the route that read exp L off a dense solution of the whole path; read
+# at the quadrature nodes only, the same steps must give the same bits
+DENSE_ROUTE_BITS = {
+    0.05: ("0x1.04997ab2855a9p-7", "0x1.963b1ea4f9ecbp-38"),
+    0.3: ("0x1.81a55fc38cb95p-5", "0x1.f5d2c2ba2061dp-39"),
+    1.0: ("0x1.26377ccda6619p-3", "0x1.dbd14ad45c9f4p-38"),
+    2.2: ("0x1.f99918ed23f0dp-3", "0x1.ddc45f758e9e2p-33"),
+    2.75: ("0x1.114b2ee94971ep-2", "0x1.b5620725324d5p-36"),
+    3.0: ("0x1.14fe7512b4401p-2", "0x1.54a7e97e90d8ap-36"),
+    np.pi: ("0x1.158cbf885b574p-2", "0x1.5f4c672f8ea12p-36"),
+}
+
 # Glaisher-Kinkelin constant A, for G(1/2) = 2^{1/24} e^{1/8} pi^{-1/4} A^{-3/2}
 GLAISHER = 1.2824271291006226368753425688697917277676889273250
 
@@ -59,6 +77,23 @@ class TestPowerSpectrum:
     def test_matches_panel_extrapolator(self, omega):
         val, _ = power_spectrum(omega)
         assert abs(val - PANEL_EXTRAPOLATOR[omega]) < 1e-12
+
+    def test_bits_match_dense_route(self):
+        # the tail fit's lstsq sums in an order that follows the BLAS
+        # thread count, so the bits are compared in a one-thread process
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=src)
+        code = ("import json, sys\n"
+                "from spacingcov.spectral import power_spectrum\n"
+                "print(json.dumps([[v.hex(), e.hex()] for v, e in\n"
+                "    (power_spectrum(w) for w in json.loads(sys.argv[1]))]))")
+        omegas = sorted(DENSE_ROUTE_BITS)
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(omegas)],
+                             env=env, capture_output=True, text=True,
+                             check=True).stdout
+        got = dict(zip(omegas, map(tuple, json.loads(out))))
+        assert got == DENSE_ROUTE_BITS
 
     @pytest.mark.parametrize("omega", [0.3, 0.6, 1.0, 2.0, 3.0, np.pi])
     def test_backend_equivalence(self, omega):
@@ -123,10 +158,12 @@ class TestTailClosure:
         assert misfit < 1e-12
 
     def test_bad_fit_raises(self, monkeypatch):
-        # a longer window with one more order leaves the lifted-path fit
-        # at omega = 2.95 visibly off: no value may come back
-        monkeypatch.setattr(spectral, "FIT_WINDOW", (200.0, 600.0))
-        monkeypatch.setattr(spectral, "FIT_ORDER", 6)
+        # without the t^-m corrections the lifted-path fit at omega = 2.95
+        # is visibly off (misfit 6e-4, C_0 off by 2e-3): no value may come
+        # back.  (A window reaching t = 600 no longer gets this far: the
+        # path's branch choice near t = 508.93 + i raises first, see
+        # test_painleve's test_lifted_near_tie_raises.)
+        monkeypatch.setattr(spectral, "FIT_ORDER", 1)
         with pytest.raises(spectral.TruncationError):
             power_spectrum(2.95)
 
