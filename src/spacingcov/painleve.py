@@ -28,6 +28,18 @@ branch tracked by continuity; it keeps the trajectory exactly on the
 constraint manifold, from which the third-order form drifts exponentially
 along complex paths.  Real-axis values are recovered by a short vertical
 descent.
+
+The lifted path runs below the real axis, at delta = -2.  With v =
+omega/2pi, the determinant's zeros lie where its two leading
+Fisher-Hartwig terms, t^{-2v^2} e^{ivt} and t^{-2(1-v)^2} e^{i(v-1)t}
+(Deift-Its-Krasovsky, Ann. Math. 2011), cancel: to leading order at
+Im t = 2 ln(Gamma(v)/Gamma(1-v)) + (2 - 4v) ln Re t.  For omega in
+[2.7, pi) that is between the axis and Im t = 2.2, so a path above the
+axis runs among the poles of sigma: at Im t = +1 it needed a 0.02 step
+cap to hold the spectrum to 1e-12, and at omega = 2.95 it meets a
+branch near-tie at t = 508.93 + i.  Below the axis the term e^{ivt}
+dominates and no zero lies near the path; the solve needs no step cap
+and takes about a fifth of the steps.
 """
 
 from __future__ import annotations
@@ -41,9 +53,9 @@ from scipy.integrate import DOP853, OdeSolution
 TWO_PI = 2.0 * np.pi
 # smallest sigma'' branch margin accepted (see _select_spp).  Over the six
 # lifted nodes of the 96-node spectrum build the smallest margin seen was
-# 0.978 on the node-reading solve (omega = 2.86, t = 37.6 + i), 0.960 on
-# the dense one and 0.940 on descents from lambda in [0.7, 399]; the
-# bound sits 9.4 times below that
+# 0.954 on the node-reading and on the dense solve (omega = 2.73,
+# t = 383.4 - 2i) and 0.971 on descents from lambda in [0.7, 399]; the
+# bound sits 9.5 times below that
 BRANCH_MARGIN = 0.1
 
 
@@ -90,7 +102,12 @@ class SolverConfig:
     # lift the path for omega beyond this: from about 2.7 on, the real-axis
     # path's error in L grows to ~1e-8 by t = 400
     elevation_omega: float = 2.7
-    elevation: float = 1.0         # Im t of the lifted path
+    # Im t of the lifted path.  For omega in [2.7, pi) the determinant's
+    # zeros near the path (poles of sigma) lie between the axis and
+    # Im t = 2.2, where its two leading Fisher-Hartwig terms cancel (module
+    # docstring).  Below the axis the path needs no step cap; at +1 it ran
+    # among the zeros and needed a 0.02 cap
+    elevation: float = -2.0
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -241,24 +258,25 @@ def _rhs_third_order(x, y):
     return np.array([sp, spp, sppp, s / t], dtype=complex)
 
 
-def _integrate(fun, span, y0, rtol, atol, what, t_star=None,
-               max_step=np.inf, at=None):
+def _integrate(fun, span, y0, rtol, atol, what, t_star=None, at=None):
     """One DOP853 solve over ``span``, stepped as solve_ivp steps it.
 
     Returns (ends, y, out): the end of every accepted step, the final
     state, and either the dense OdeSolution (``at`` None) or the states at
-    the positions ``at`` of an increasing span, each read from the
-    interpolant of the step (t_old, t] that holds it, as OdeSolution reads
-    it.  A step's interpolant (Hairer-Norsett-Wanner, Solving ODEs I,
-    II.6: three more right-hand-side stages) is built only when a position
-    falls inside it.  A failed step raises SolverError at ``t_star``, by
-    default where the solve stalled.
+    the positions ``at``, each read from the interpolant of the step from
+    t_old to t that holds it (t_old excluded, t included), as OdeSolution
+    reads it; the span may run either way.  A step's interpolant
+    (Hairer-Norsett-Wanner, Solving ODEs I, II.6: three more
+    right-hand-side stages) is built only when a position falls inside it.
+    A failed step raises SolverError at ``t_star``, by default where the
+    solve stalled.
     """
-    solver = DOP853(fun, span[0], y0, span[1], rtol=rtol, atol=atol,
-                    max_step=max_step)
+    solver = DOP853(fun, span[0], y0, span[1], rtol=rtol, atol=atol)
     if at is not None:
-        order = np.argsort(at, kind="stable")
-        pending = at[order]
+        # positions in the direction of travel: d * x increases
+        d = 1.0 if span[1] >= span[0] else -1.0
+        order = np.argsort(d * at, kind="stable")
+        pending = d * at[order]
     ends, pieces, done = [], [], 0
     while solver.status == "running":
         solver.step()
@@ -270,9 +288,9 @@ def _integrate(fun, span, y0, rtol, atol, what, t_star=None,
         if at is None:
             pieces.append(solver.dense_output())
             continue
-        upto = np.searchsorted(pending, solver.t, side="right")
+        upto = np.searchsorted(pending, d * solver.t, side="right")
         if upto > done:
-            pieces.append(solver.dense_output()(pending[done:upto]))
+            pieces.append(solver.dense_output()(d * pending[done:upto]))
             done = upto
     if at is None:
         out = OdeSolution([span[0]] + ends, pieces)
@@ -282,12 +300,13 @@ def _integrate(fun, span, y0, rtol, atol, what, t_star=None,
     return np.array(ends), solver.y, out
 
 
-def _checked(x, hi: float, what: str) -> np.ndarray:
-    """x as a float array, if every entry lies in [0, hi]; nothing is
-    extrapolated."""
+def _checked(x, end: float, what: str) -> np.ndarray:
+    """x as a float array, if every entry lies between 0 and ``end``
+    (either sign); nothing is extrapolated."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((x >= 0.0) & (x <= hi)):
-        raise ValueError(f"{what} must lie in [0, {hi}]")
+    lo, hi = min(0.0, end), max(0.0, end)
+    if not np.all((x >= lo) & (x <= hi)):
+        raise ValueError(f"{what} must lie in [{lo}, {hi}]")
     return x
 
 
@@ -365,9 +384,9 @@ class SigmaTrajectory:
         y = self._dense(lam)
         lo, hi = max(lam - 1e-3, self.series_radius), min(lam + 1e-3, self.t_max)
         sp_lo, sp_hi = self._dense([lo, hi])[1]
-        branch = {"spp": _select_spp(lam + 1j * self.elevation, y[0], y[1],
+        branch = {"spp": _select_spp(complex(lam, self.elevation), y[0], y[1],
                                      (sp_hi - sp_lo) / (hi - lo))}
-        rhs = _make_rhs(lambda tau: lam + 1j * tau, branch)
+        rhs = _make_rhs(lambda tau: complex(lam, tau), branch)
         # no positions: no interpolant, only the end state
         _, y, _ = _integrate(
             lambda tau, yy: 1j * rhs(tau, yy), (self.elevation, 0.0), y,
@@ -424,7 +443,7 @@ def _default_elevation(z: complex, config: SolverConfig) -> float:
 
 def path_geometry(zeta, config: SolverConfig = DEFAULT_CONFIG):
     """(series_radius, elevation) of the path solve_sigma0 takes by
-    default for zeta != 0; a lifted path (elevation > 0) leaves the real
+    default for zeta != 0; a lifted path (elevation != 0) leaves the real
     axis at the series radius."""
     z = _as_zeta(zeta)
     return _Series(z, config).radius(config), _default_elevation(z, config)
@@ -441,8 +460,8 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
 
     With ``positions`` (path positions in [0, t_max]) the solve keeps no
     dense solution: it returns PathValues, the log-integral at those
-    positions and, on a lifted path, at the lift ``heights`` in
-    [0, elevation], read off the same steps the dense solution is made of.
+    positions and, on a lifted path, at the lift ``heights`` between 0 and
+    the elevation, read off the same steps the dense solution is made of.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -471,26 +490,22 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
             # series sigma'' at t0, carried up the lift t = t0 + i tau and
             # on along the path
             branch = {"spp": complex(ser.sigma_pp(t0))}
-            up = _make_rhs(lambda tau: t0 + 1j * tau, branch)
+            up = _make_rhs(lambda tau: complex(t0, tau), branch)
             _, y0, lift = _integrate(
                 lambda tau, yy: 1j * up(tau, yy), (0.0, elevation), y0,
                 config.rtol, config.atol, "the vertical lift",
                 t_star=t0, at=at_lift)
-            rhs = _make_rhs(lambda x: x + 1j * elevation, branch)
-            # tighter tolerances and a step cap on the lifted path: without
-            # the cap a lifted spectrum node saves 2.7-4.1 s of CPU, but S
-            # moves by up to 1.8e-12 (omega = 2.75) and its error estimate
-            # grows from 1e-11..3e-11 to 8e-10..7.5e-9.  The cap bounds step
-            # error, not interpolation: uncapped step ends are as far off
-            # (1e-10 relative in the fit window) as uncapped dense values
-            rtol, atol, cap = 1e-13, 1e-14, 0.02
+            rhs = _make_rhs(lambda x: complex(x, elevation), branch)
+            # tighter tolerances on the lifted path: at the config ones the
+            # error estimate of a lifted spectrum node grows to 3.5e-10
+            # (elevation -2) or 2.7e-9 (elevation -1)
+            rtol, atol = 1e-13, 1e-14
         else:
             rhs = _rhs_third_order
-            rtol, atol, cap = config.rtol, config.atol, np.inf
+            rtol, atol = config.rtol, config.atol
         ends, _, path = _integrate(
             rhs, (t0, t_max), y0, rtol, atol,
-            f"the omega-path for zeta = {z}", max_step=cap,
-            at=at)
+            f"the omega-path for zeta = {z}", at=at)
     if positions is None:
         return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
                                _series=ser, _dense=path, _vertical=lift,

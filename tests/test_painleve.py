@@ -123,7 +123,9 @@ class TestSolver:
         assert np.max(res) < 1e-9
 
     def test_residual_on_elevated_path(self):
-        traj = solve_sigma0(2.0, 20.0, elevation=1.0)
+        # zeta = 2 is omega = pi: the default path runs below the axis
+        traj = solve_sigma0(2.0, 20.0)
+        assert traj.elevation == painleve.DEFAULT_CONFIG.elevation < 0
         res = traj.residual(np.linspace(1.0, 19.0, 8))
         assert np.max(res) < 1e-9
 
@@ -167,11 +169,12 @@ class TestSolver:
             with pytest.raises(ValueError):
                 traj.eval_log_integral([1.0, bad])
         if traj.elevation:
-            tau = np.array([0.0, 0.3, 0.7 * traj.elevation, traj.elevation])
+            tau = np.array([0.0, 0.3, 0.7, 1.0]) * traj.elevation
             assert np.array_equal(traj.vertical_log_integral(tau),
                                   [traj._vertical(v)[-1] for v in tau])
-            with pytest.raises(ValueError):
-                traj.vertical_log_integral(1.5 * traj.elevation)
+            for bad in (1.5 * traj.elevation, -0.3 * traj.elevation):
+                with pytest.raises(ValueError):
+                    traj.vertical_log_integral(bad)
 
     @pytest.mark.parametrize("omega", [2.8, np.pi])
     def test_lifted_descent_below_t_max(self, omega):
@@ -216,8 +219,9 @@ class TestSolver:
 
     def test_node_positions_are_checked(self):
         z = 1.0 - np.exp(3.0j)
+        # lift heights lie between 0 and the elevation, here -2
         for positions, heights in (([1.0, 5.5], ()), ([1.0], [1.5]),
-                                   ([np.nan], ())):
+                                   ([1.0], [-2.5]), ([np.nan], ())):
             with pytest.raises(ValueError):
                 solve_sigma0(z, 5.0, positions=positions, heights=heights)
         # inside the series radius no step is taken
@@ -241,13 +245,25 @@ class TestBranchChoice:
             assert info.value.t_star == t
 
     def test_lifted_near_tie_raises(self):
-        # at omega = 2.95 the lifted path meets a near-tie at t = 508.93 + i;
-        # without the guard it went on along the other branch, and exp L
-        # left the Fredholm determinant there (4e-11 at t = 505 + i,
-        # 1e-5 at 510 + i, 7e-3 at 550 + i)
+        # at omega = 2.95 a path at Im t = +1, among the determinant's
+        # zeros, meets a near-tie at t = 508.93 + i; without the guard it
+        # went on along the other branch, and exp L left the Fredholm
+        # determinant there (4e-11 at t = 505 + i, 1e-5 at 510 + i, 7e-3
+        # at 550 + i)
         with pytest.raises(BranchAmbiguityError) as info:
-            solve_sigma0(1.0 - np.exp(2.95j), 600.0)
+            solve_sigma0(1.0 - np.exp(2.95j), 600.0, elevation=1.0)
         assert abs(info.value.t_star - (508.93 + 1.0j)) < 0.01
+
+    def test_default_path_passes_the_near_tie(self):
+        # below the axis no zero of the determinant lies near the path:
+        # the same solve goes past t = 509 and its descents match the
+        # Fredholm determinant
+        z = 1.0 - np.exp(2.95j)
+        traj = solve_sigma0(z, 600.0)
+        assert traj.elevation < 0
+        for lam in (505.0, 510.0, 550.0, 599.0):
+            det = sine_kernel_det_auto(z, lam / TWO_PI)
+            assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
 
     def test_lift_seeded_off_branch_raises(self, monkeypatch):
         # a lifted solve whose seed sigma'' is turned a quarter turn away

@@ -41,15 +41,24 @@ PANEL_EXTRAPOLATOR = {
 
 # (value, error) of power_spectrum with one BLAS thread, as float.hex, from
 # the route that read exp L off a dense solution of the whole path; read
-# at the quadrature nodes only, the same steps must give the same bits
+# at the quadrature nodes only, the same steps must give the same bits.
+# The lifted entries (omega > 2.7) are of the path at Im t = -2
 DENSE_ROUTE_BITS = {
     0.05: ("0x1.04997ab2855a9p-7", "0x1.963b1ea4f9ecbp-38"),
     0.3: ("0x1.81a55fc38cb95p-5", "0x1.f5d2c2ba2061dp-39"),
     1.0: ("0x1.26377ccda6619p-3", "0x1.dbd14ad45c9f4p-38"),
     2.2: ("0x1.f99918ed23f0dp-3", "0x1.ddc45f758e9e2p-33"),
-    2.75: ("0x1.114b2ee94971ep-2", "0x1.b5620725324d5p-36"),
-    3.0: ("0x1.14fe7512b4401p-2", "0x1.54a7e97e90d8ap-36"),
-    np.pi: ("0x1.158cbf885b574p-2", "0x1.5f4c672f8ea12p-36"),
+    2.75: ("0x1.114b2ee949898p-2", "0x1.d0595c2658fd2p-37"),
+    3.0: ("0x1.14fe7512b469bp-2", "0x1.57559214cf1f1p-36"),
+    np.pi: ("0x1.158cbf885b88ap-2", "0x1.5c031ddc09653p-35"),
+}
+
+# the lifted values as the path at Im t = +1 with its step capped at 0.02
+# gave them; the path below the axis must agree to 1e-13
+UPPER_PATH_VALUES = {
+    2.75: float.fromhex("0x1.114b2ee94971ep-2"),
+    3.0: float.fromhex("0x1.14fe7512b4401p-2"),
+    np.pi: float.fromhex("0x1.158cbf885b574p-2"),
 }
 
 # Glaisher-Kinkelin constant A, for G(1/2) = 2^{1/24} e^{1/8} pi^{-1/4} A^{-3/2}
@@ -95,11 +104,21 @@ class TestPowerSpectrum:
         got = dict(zip(omegas, map(tuple, json.loads(out))))
         assert got == DENSE_ROUTE_BITS
 
+    @pytest.mark.parametrize("omega", sorted(UPPER_PATH_VALUES))
+    def test_lifted_values_near_upper_path(self, omega):
+        # test_bits_match_dense_route ties the computed values to the
+        # literals; here the literals of both paths are held together
+        val, err = (float.fromhex(h) for h in DENSE_ROUTE_BITS[omega])
+        assert abs(val - UPPER_PATH_VALUES[omega]) <= 1e-13
+        assert err <= 5e-11
+
     @pytest.mark.parametrize("omega", [0.3, 0.6, 1.0, 2.0, 3.0, np.pi])
     def test_backend_equivalence(self, omega):
-        pv, _ = power_spectrum(omega)
-        fd, _ = power_spectrum(omega, SpectrumConfig(backend="fredholm"))
+        pv, pe = power_spectrum(omega)
+        fd, fe = power_spectrum(omega, SpectrumConfig(backend="fredholm"))
         assert abs(pv - fd) < 1e-8
+        # and within the two backends' error estimates
+        assert abs(pv - fd) <= pe + fe
 
     def test_small_omega_law_approach(self):
         ratios = []
