@@ -37,7 +37,7 @@ from itertools import islice
 
 import numpy as np
 from scipy.linalg import eig_banded
-from scipy.stats import norm
+from scipy.special import ndtri
 
 TWO_PI = 2.0 * np.pi
 C_99 = 2.5758                      # 99% two-sided normal quantile
@@ -268,7 +268,7 @@ class MCEstimate:
 def confidence_factor(confidence: float = 0.99) -> float:
     if confidence == 0.99:
         return C_99
-    return float(norm.ppf(0.5 + 0.5 * confidence))
+    return float(ndtri(0.5 + 0.5 * confidence))
 
 
 def aggregate(per_sample, confidence: float = 0.99, N: int = 0,

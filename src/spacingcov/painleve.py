@@ -11,23 +11,32 @@ that are analytic at t = 0 and start off as
 
 For zeta on the circle |1 - zeta| = 1 (parametrized by zeta = 1 - e^{i omega})
 the accumulated log-integral  integral_0^lambda sigma0(t)/t dt  is the
-logarithm of a sine-kernel Fredholmdeterminant; its exponential is the
+logarithm of a sine-kernel Fredholm determinant; its exponential is the
 integrand of the spacing power spectrum.
 
-Integration strategy: a truncated power series on [0, t0], then one
-adaptive DOP853 solve, which keeps either its dense output or only the
-values at positions asked for in advance.  On the real axis it runs the
-branch-free differentiated third-order form.  That form does not damp
-constraint perturbations: at omega around 2.5-2.9 the error in the
-log-integral grows about quadratically with t (7e-9 by t = 400 at
-omega = 2.86), and for omega close to pi the determinant has zeros on the
-real t-axis (sigma has poles there).  So from omega = 2.7 on the path is
-lifted to Im t = delta, and the solve runs the second-order form
-s'' = +-sqrt(-f (f + 4 s'^2))/t, f = t s' - s, with the complex square-root
-branch tracked by continuity; it keeps the trajectory exactly on the
-constraint manifold, from which the third-order form drifts exponentially
-along complex paths.  Real-axis values are recovered by a short vertical
-descent.
+Integration strategy: a truncated power series on [0, t0], then Taylor
+steps of fixed order 30 (Jorba-Zou, Exp. Math. 14, 2005).  The sigma
+equation is polynomial in (t, s, s', s''), so at each step centre the
+Taylor coefficients of sigma follow from its differentiated third-order
+form by a short recurrence, and those of the log-integral L from L' = s/t.
+The step is the longest at which the last two terms of sigma and of L stay
+below rtol * atol.  The trajectory is the list of these polynomial pieces;
+values are read from them by Horner evaluation, so where values are asked
+for does not move a step.  t is complex, so one stepper with a complex
+direction serves the real axis, the lift, the lifted path and the descent.
+
+On the real axis the pieces carry sigma'' from one centre to the next:
+the branch-free third-order form.  That form does not damp constraint
+perturbations: with the config tolerances the error in exp L at t = 400
+is about 1e-11 up to omega = 2.7, 2e-11 at 2.8 and 5e-10 at 2.9, growing
+about quadratically with t, and for omega close to pi the determinant has
+zeros on the real t-axis (sigma has poles there).  So from omega = 2.7 on
+the path is lifted to Im t = delta and runs the second-order form
+(t s'')^2 = -f (f + 4 s'^2), f = t s' - s: at each centre sigma'' is the
+root nearer the sigma'' that the previous piece carries there.  That keeps
+the state on the constraint manifold, from which the third-order form
+drifts exponentially along complex paths.  Real-axis values are recovered
+by a short vertical descent.
 
 The lifted path runs below the real axis, at delta = -2.  With v =
 omega/2pi, the determinant's zeros lie where its two leading
@@ -35,22 +44,23 @@ Fisher-Hartwig terms, t^{-2v^2} e^{ivt} and t^{-2(1-v)^2} e^{i(v-1)t}
 (Deift-Its-Krasovsky, Ann. Math. 2011), cancel: to leading order at
 Im t = 2 ln(Gamma(v)/Gamma(1-v)) + (2 - 4v) ln Re t.  For omega in
 [2.7, pi) that is between the axis and Im t = 2.2, so a path above the
-axis runs among the poles of sigma: at Im t = +1 it needed a 0.02 step
-cap to hold the spectrum to 1e-12, and at omega = 2.95 it meets a
-branch near-tie at t = 508.93 + i.  Below the axis the term e^{ivt}
-dominates and no zero lies near the path; the solve needs no step cap
-and takes about a fifth of the steps.
+axis runs among the poles of sigma, where the steps shrink to the
+distance from the nearest pole.  Below the axis the term e^{ivt}
+dominates and no zero lies near the path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import DOP853, OdeSolution
 
 TWO_PI = 2.0 * np.pi
+# order of the Taylor steps: Jorba-Zou's optimal order -ln(eps)/2 + 1 at the
+# default per-step truncation eps = rtol * atol = 1e-25
+TAYLOR_ORDER = 30
 # smallest sigma'' branch margin accepted (see _select_spp).  Over the six
 # lifted nodes of the 96-node spectrum build the smallest margin seen was
 # 0.954 on the node-reading and on the dense solve (omega = 2.73,
@@ -97,6 +107,7 @@ class SpectralParameter:
 class SolverConfig:
     series_order: int = 14
     series_rtol: float = 1e-14     # last retained series term vs partial sum
+    # a Taylor step's last two terms of sigma and of L stay below rtol * atol
     rtol: float = 1e-12
     atol: float = 1e-13
     # lift the path for omega beyond this: from about 2.7 on, the real-axis
@@ -105,8 +116,7 @@ class SolverConfig:
     # Im t of the lifted path.  For omega in [2.7, pi) the determinant's
     # zeros near the path (poles of sigma) lie between the axis and
     # Im t = 2.2, where its two leading Fisher-Hartwig terms cancel (module
-    # docstring).  Below the axis the path needs no step cap; at +1 it ran
-    # among the zeros and needed a 0.02 cap
+    # docstring); below the axis no zero lies near the path
     elevation: float = -2.0
 
 
@@ -215,89 +225,123 @@ def _select_spp(t, s, sp, prev):
         raise BranchAmbiguityError(
             f"sigma'' branch undecided at t = {t}: the roots +-{r} lie "
             f"{a:.3g} and {b:.3g} from the tracked value", t_star=complex(t))
-    return r if a <= b else -r
+    return complex(r if a <= b else -r)
 
 
-def _make_rhs(t_of_x, branch_state):
-    """RHS of the first-order system (sigma, sigma', log_integral).
+def _taylor(tc, s, sp, spp, L):
+    """Taylor coefficients at t = tc of sigma (a_0..a_K) and of the
+    log-integral (l_0..l_{K+1}), K = TAYLOR_ORDER, from the state
+    (sigma, sigma', sigma'', L) there.
 
-    sigma'' is the square root of -f (f + 4 sigma'^2)/t^2 whose branch is
-    the one closer to the previously selected value, kept in
-    ``branch_state["spp"]`` by the one integration that owns the dict.
-    Used on the complex (lifted) path pieces, where it keeps the trajectory
-    exactly on the constraint manifold; the differentiated third-order
-    form drifts there.
+    With t = tc + tau, the coefficient of tau^k of the third-order form
+    t^2 s''' + t s'' + t^2 s' - t s + s' (6 t s' - 4 s) = 0 is linear in the
+    k-th coefficient d_k of s''' and fixes it from lower ones; L' = s/t
+    gives l from t q = s.  Plain Python: at this order numpy's per-call
+    cost exceeds the arithmetic.
     """
+    a = [s, sp, 0.5 * spp]                 # sigma
+    b = [sp, spp]                          # sigma'
+    c = [spp]                              # sigma''
+    g = []                                 # 6 t sigma' - 4 sigma
+    tc2 = tc * tc
+    a1 = b1 = b2 = c1 = d1 = d2 = 0j       # coefficients k-1 and k-2
+    for k in range(TAYLOR_ORDER - 2):
+        ak, bk, ck = a[k], b[k], c[k]
+        g.append(6.0 * (tc * bk + b1) - 4.0 * ak)
+        dk = -(tc * (ck - ak) + tc2 * bk + 2.0 * tc * (b1 + d1)
+               + c1 - a1 + b2 + d2 + sum(map(mul, b, reversed(g)))) / tc2
+        c.append(dk / (k + 1))
+        b.append(c[-1] / (k + 2))
+        a.append(b[-1] / (k + 3))
+        a1, b2, b1, c1, d2, d1 = ak, b1, bk, ck, d1, dk
+    l, q = [L], 0j
+    for k, ak in enumerate(a):
+        q = (ak - q) / tc
+        l.append(q / (k + 1))
+    return a, l
 
-    def rhs(x, y):
-        t = t_of_x(x)
-        s, sp, _ = y
-        spp = _select_spp(t, s, sp, branch_state["spp"])
-        branch_state["spp"] = spp
-        return np.array([sp, spp, s / t], dtype=complex)
 
-    return rhs
+def _step(a, l, eps):
+    """Largest step at which the last two Taylor terms of sigma and of L
+    are each at most eps (Jorba-Zou, Exp. Math. 14, 2005, 3.2)."""
+    h = np.inf
+    for coeff, j in ((a[-2], TAYLOR_ORDER - 1), (a[-1], TAYLOR_ORDER),
+                     (l[-2], TAYLOR_ORDER), (l[-1], TAYLOR_ORDER + 1)):
+        if coeff:
+            h = min(h, (eps / abs(coeff)) ** (1.0 / j))
+    return h
 
 
-def _rhs_third_order(x, y):
-    """RHS of (sigma, sigma', sigma'', log_integral) on the real axis.
+def _state_at(a, l, tau):
+    """(sigma, sigma', sigma'', L) of one piece at offset tau (Horner)."""
+    s, sp, spp = a[-1], 0j, 0j
+    for ak in reversed(a[:-1]):
+        spp = spp * tau + sp
+        sp = sp * tau + s
+        s = s * tau + ak
+    L = l[-1]
+    for lk in reversed(l[:-1]):
+        L = L * tau + lk
+    return s, sp, 2.0 * spp, L
 
-    The differentiated form sigma''' = -(t s'' + t f + 2 t s'^2 + 4 f s')/t^2
-    is branch-free, but nothing holds it on the constraint manifold: at
-    omega around 2.5-2.9 the error in the log-integral grows about
-    quadratically with t, to 7e-9 by t = 400 at omega = 2.86 (rtol 1e-12
-    against 1e-14).  That is why paths are lifted from
-    SolverConfig.elevation_omega = 2.7 on.  On complex paths the
-    perturbations grow exponentially, so the branch-tracked second-order
-    form is used there instead.
+
+@dataclass(frozen=True)
+class _Pieces:
+    """The Taylor pieces of one integration in a real path parameter p,
+    with t = t(p) and dt = rot dp.  Piece i is centred at knots[i] and
+    holds p in (knots[i], knots[i + 1]]; the first also holds its centre."""
+
+    rot: complex
+    knots: np.ndarray                     # the centres, then the end
+    sigma: np.ndarray                     # (pieces, K + 1): sigma in t - t_c
+    logint: np.ndarray                    # (pieces, K + 2): L in t - t_c
+
+    def __call__(self, p, row: int) -> np.ndarray:
+        """sigma (row 0) or its derivative number ``row``, or L (row -1),
+        at the parameters p, each by Horner in its own piece."""
+        d = 1.0 if self.knots[-1] >= self.knots[0] else -1.0
+        i = np.searchsorted(d * self.knots[1:-1], d * p, side="left")
+        tau = self.rot * (p - self.knots[i])
+        c = self.logint[i] if row < 0 else self.sigma[i]
+        for _ in range(max(row, 0)):
+            c = c[:, 1:] * np.arange(1, c.shape[1])
+        out = c[:, -1]
+        for j in range(c.shape[1] - 2, -1, -1):
+            out = out * tau + c[:, j]
+        return out
+
+
+def _integrate(t_of, rot, span, state, eps, tracked, what, t_star=None):
+    """Taylor steps from p = span[0] to span[1] (either way) along
+    t = t_of(p), dt = rot dp, from state = (sigma, sigma', sigma'', L).
+
+    Untracked, sigma'' is carried from piece to piece: the third-order form.
+    Tracked, the centre's sigma'' is the _select_spp root nearer the
+    carried one: the branch-tracked second-order form.  Each step is as
+    long as _step allows, so where values are read later does not move it.
+    Returns the _Pieces and the end state; a step that collapses raises
+    SolverError at ``t_star``, by default where the solve stalled.
     """
-    t = x
-    s, sp, spp, _ = y
-    f = t * sp - s
-    sppp = -(t * spp + t * f + 2.0 * t * sp * sp + 4.0 * f * sp) / (t * t)
-    return np.array([sp, spp, sppp, s / t], dtype=complex)
-
-
-def _integrate(fun, span, y0, rtol, atol, what, t_star=None, at=None):
-    """One DOP853 solve over ``span``, stepped as solve_ivp steps it.
-
-    Returns (ends, y, out): the end of every accepted step, the final
-    state, and either the dense OdeSolution (``at`` None) or the states at
-    the positions ``at``, each read from the interpolant of the step from
-    t_old to t that holds it (t_old excluded, t included), as OdeSolution
-    reads it; the span may run either way.  A step's interpolant
-    (Hairer-Norsett-Wanner, Solving ODEs I, II.6: three more
-    right-hand-side stages) is built only when a position falls inside it.
-    A failed step raises SolverError at ``t_star``, by default where the
-    solve stalled.
-    """
-    solver = DOP853(fun, span[0], y0, span[1], rtol=rtol, atol=atol)
-    if at is not None:
-        # positions in the direction of travel: d * x increases
-        d = 1.0 if span[1] >= span[0] else -1.0
-        order = np.argsort(d * at, kind="stable")
-        pending = d * at[order]
-    ends, pieces, done = [], [], 0
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise SolverError(
-                f"{what} stalled at {solver.t:.6g}",
-                t_star=float(solver.t) if t_star is None else t_star)
-        ends.append(solver.t)
-        if at is None:
-            pieces.append(solver.dense_output())
-            continue
-        upto = np.searchsorted(pending, d * solver.t, side="right")
-        if upto > done:
-            pieces.append(solver.dense_output()(d * pending[done:upto]))
-            done = upto
-    if at is None:
-        out = OdeSolution([span[0]] + ends, pieces)
-    else:
-        out = np.empty((len(y0), len(at)), dtype=complex)
-        out[:, order] = np.hstack([out[:, :0]] + pieces)
-    return np.array(ends), solver.y, out
+    p, end = span
+    d = 1.0 if end >= p else -1.0
+    s, sp, spp, L = state
+    knots, sigma, logint = [p], [], []
+    while p != end:
+        tc = t_of(p)
+        if tracked:
+            spp = _select_spp(tc, s, sp, spp)
+        a, l = _taylor(tc, s, sp, spp, L)
+        h = _step(a, l, eps)
+        if not h > 1e-9 * max(1.0, abs(p)):          # nan included
+            raise SolverError(f"{what} stalled at {p:.6g}",
+                              t_star=p if t_star is None else t_star)
+        start, p = p, p + d * h if h < d * (end - p) else end
+        s, sp, spp, L = _state_at(a, l, rot * (p - start))
+        knots.append(p)
+        sigma.append(a)
+        logint.append(l)
+    return (_Pieces(rot, np.array(knots), np.array(sigma, dtype=complex),
+                    np.array(logint, dtype=complex)), (s, sp, spp, L))
 
 
 def _checked(x, end: float, what: str) -> np.ndarray:
@@ -316,37 +360,35 @@ class SigmaTrajectory:
     the frozen result of one integration.
 
     The truncated power series is authoritative up to ``series_radius``.
-    Beyond it one dense solution runs in path position x up to ``t_max``,
-    on the path Im t = ``elevation``; on a lifted path a second dense
-    solution covers the vertical lift t = series_radius + i tau.  Every
-    value is read from these pieces, and a position outside them raises
-    ValueError.  ``t_grid`` lists the accepted integration steps.
+    Beyond it the Taylor pieces of the path run in path position x up to
+    ``t_max``, on the path Im t = ``elevation``; on a lifted path the pieces
+    of the vertical lift t = series_radius + i tau lead there.  Every value
+    is read from these pieces, and a position outside them raises
+    ValueError.  ``t_grid`` lists the ends of the path's steps.
     """
 
     zeta: complex
     series_radius: float
     elevation: float                      # 0.0 for a real-axis path
     _series: _Series
-    # scipy OdeSolution on [series_radius, t_max]; its state is
-    # [s, s', s'', L] on the real axis and [s, s', L] on a lifted path
-    _dense: object = None
-    _vertical: object = None              # OdeSolution of the lift in tau
+    _path: _Pieces = None                 # in x, on [series_radius, t_max]
+    _lift: _Pieces = None                 # in tau, on a lifted path
     _config: SolverConfig = DEFAULT_CONFIG
 
     @property
     def t_max(self) -> float:
-        return self.series_radius if self._dense is None else self._dense.t_max
+        return self.series_radius if self._path is None else self._path.knots[-1]
 
     @property
     def t_grid(self) -> np.ndarray:
-        """0 followed by the end of every accepted integration step."""
-        steps = [] if self._dense is None else self._dense.ts[1:]
+        """0 followed by the end of every step along the path."""
+        steps = [] if self._path is None else self._path.knots[1:]
         return np.concatenate([[0.0], steps])
 
     def _eval(self, x, row: int) -> np.ndarray:
-        """State entry ``row`` (0: sigma, 1: sigma', -1: log-integral) at
-        path positions x: the series up to the series radius, the dense
-        solution beyond it."""
+        """sigma (row 0), sigma' (row 1) or the log-integral (row -1) at
+        path positions x: the series up to the series radius, the Taylor
+        pieces beyond it."""
         x = _checked(x, self.t_max, "path positions")
         ser = self._series
         series = (ser.sigma, ser.sigma_prime, ser.log_integral)[row]
@@ -354,7 +396,7 @@ class SigmaTrajectory:
         small = x <= self.series_radius
         out[small] = series(x[small])
         if not small.all():
-            out[~small] = self._dense(x[~small])[row]
+            out[~small] = self._path(x[~small], row)
         return out
 
     def eval_log_integral(self, x) -> np.ndarray:
@@ -367,33 +409,26 @@ class SigmaTrajectory:
 
     def vertical_log_integral(self, tau) -> np.ndarray:
         """Log-integral along the initial lift t = t0 + i tau (lifted paths)."""
-        if self._vertical is None:
+        if self._lift is None:
             raise ValueError("trajectory has no vertical segment")
-        return self._vertical(_checked(tau, self.elevation, "lift heights"))[-1]
+        return self._lift(_checked(tau, self.elevation, "lift heights"), -1)
 
     def log_integral_real_axis(self, lam: float) -> complex:
         """Log-integral at the real point t = lam, descending if lifted.
 
-        The descent starts on the sigma'' root nearer a central difference
-        of the path's own sigma' at lam; only the nearer-root choice
-        matters, so a coarse stencil is enough.
+        The descent starts from the path's state at lam, on the sigma''
+        root nearer the path's own sigma'' there.
         """
         lam = float(_checked(lam, self.t_max, "lambda")[0])
         if lam <= self.series_radius or not self.elevation:
             return complex(self._eval(lam, -1)[0])
-        y = self._dense(lam)
-        lo, hi = max(lam - 1e-3, self.series_radius), min(lam + 1e-3, self.t_max)
-        sp_lo, sp_hi = self._dense([lo, hi])[1]
-        branch = {"spp": _select_spp(complex(lam, self.elevation), y[0], y[1],
-                                     (sp_hi - sp_lo) / (hi - lo))}
-        rhs = _make_rhs(lambda tau: complex(lam, tau), branch)
-        # no positions: no interpolant, only the end state
-        _, y, _ = _integrate(
-            lambda tau, yy: 1j * rhs(tau, yy), (self.elevation, 0.0), y,
-            self._config.rtol, self._config.atol,
-            f"the descent to the real axis at t = {lam}", t_star=lam,
-            at=np.empty(0))
-        return complex(y[-1])
+        state = tuple(complex(self._path(np.array([lam]), row)[0])
+                      for row in (0, 1, 2, -1))
+        _, (_, _, _, L) = _integrate(
+            lambda tau: complex(lam, tau), 1j, (self.elevation, 0.0), state,
+            _truncation(self._config), True,
+            f"the descent to the real axis at t = {lam}", t_star=lam)
+        return complex(L)
 
     # -- residual diagnostics ---------------------------------------------
 
@@ -449,6 +484,11 @@ def path_geometry(zeta, config: SolverConfig = DEFAULT_CONFIG):
     return _Series(z, config).radius(config), _default_elevation(z, config)
 
 
+def _truncation(config: SolverConfig) -> float:
+    """Per-step truncation bound of the Taylor stepper: rtol * atol."""
+    return config.rtol * config.atol
+
+
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
                  elevation: float | None = None, positions=None, heights=()):
     """Integrate sigma0(t; zeta) with its log-integral up to t_max.
@@ -458,10 +498,10 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
     Im t = config.elevation to stay clear of real-axis poles.  The
     trajectory is frozen; a longer path is a new solve.
 
-    With ``positions`` (path positions in [0, t_max]) the solve keeps no
-    dense solution: it returns PathValues, the log-integral at those
-    positions and, on a lifted path, at the lift ``heights`` between 0 and
-    the elevation, read off the same steps the dense solution is made of.
+    With ``positions`` (path positions in [0, t_max]) it returns PathValues
+    instead: the log-integral at those positions and, on a lifted path, at
+    the lift ``heights`` between 0 and the elevation, read off the same
+    pieces as the trajectory's, with the same steps.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -471,53 +511,35 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
     ser = _Series(z, config)
     # sigma0 vanishes identically at zeta = 0: the series serves any t_max
     t0 = ser.radius(config) if z else t_max
-    at = at_lift = None
     if positions is not None:
         positions = _checked(positions, t_max, "path positions")
-        small = positions <= t0
-        at = positions[~small]
         if len(heights) and not (elevation and t_max > t0):
             raise ValueError("trajectory has no vertical segment")
-        at_lift = _checked(heights, elevation, "lift heights")
-    ends, path, lift = [], None, None
+        heights = _checked(heights, elevation, "lift heights")
+    path = lift = None
     if t_max > t0:
-        head = [ser.sigma(t0), ser.sigma_prime(t0)]
-        if not elevation:
-            head.append(ser.sigma_pp(t0))
-        y0 = np.array(head + [ser.log_integral(t0)], dtype=complex)
+        eps = _truncation(config)
+        state = tuple(complex(f(t0)) for f in (
+            ser.sigma, ser.sigma_prime, ser.sigma_pp, ser.log_integral))
         if elevation:
             # one branch tracker for the whole integration: seeded by the
             # series sigma'' at t0, carried up the lift t = t0 + i tau and
             # on along the path
-            branch = {"spp": complex(ser.sigma_pp(t0))}
-            up = _make_rhs(lambda tau: complex(t0, tau), branch)
-            _, y0, lift = _integrate(
-                lambda tau, yy: 1j * up(tau, yy), (0.0, elevation), y0,
-                config.rtol, config.atol, "the vertical lift",
-                t_star=t0, at=at_lift)
-            rhs = _make_rhs(lambda x: complex(x, elevation), branch)
-            # tighter tolerances on the lifted path: at the config ones the
-            # error estimate of a lifted spectrum node grows to 3.5e-10
-            # (elevation -2) or 2.7e-9 (elevation -1)
-            rtol, atol = 1e-13, 1e-14
-        else:
-            rhs = _rhs_third_order
-            rtol, atol = config.rtol, config.atol
-        ends, _, path = _integrate(
-            rhs, (t0, t_max), y0, rtol, atol,
-            f"the omega-path for zeta = {z}", at=at)
+            lift, state = _integrate(
+                lambda tau: complex(t0, tau), 1j, (0.0, elevation), state,
+                eps, True, "the vertical lift", t_star=t0)
+        path, _ = _integrate(
+            lambda x: complex(x, elevation), 1.0, (t0, t_max), state, eps,
+            bool(elevation), f"the omega-path for zeta = {z}")
+    traj = SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
+                           _series=ser, _path=path, _lift=lift,
+                           _config=config)
     if positions is None:
-        return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
-                               _series=ser, _dense=path, _vertical=lift,
-                               _config=config)
-    logint = np.empty(positions.shape, dtype=complex)
-    logint[small] = ser.log_integral(positions[small])
-    if path is not None:
-        logint[~small] = path[-1]
+        return traj
     return PathValues(
-        t_grid=np.concatenate([[0.0], ends]), log_integral=logint,
+        t_grid=traj.t_grid, log_integral=traj._eval(positions, -1),
         vertical_log_integral=np.empty(0, complex) if lift is None
-        else lift[-1])
+        else lift(heights, -1))
 
 
 def _omega_of(z: complex) -> float | None:

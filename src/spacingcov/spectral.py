@@ -42,6 +42,7 @@ interpolant of S(omega) used by the Fourier-inversion module.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -49,6 +50,7 @@ from functools import lru_cache
 from zipfile import BadZipFile
 
 import numpy as np
+import scipy
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import zeta as riemann_zeta
@@ -67,6 +69,10 @@ FIT_SHIFTS = np.arange(-2, 3)  # Fisher-Hartwig representations v + j
 LAGUERRE_NODES = 80            # Gauss-Laguerre nodes per rotated ray
 FIT_RESIDUAL_TOL = 1e-8        # relative rms misfit on the window
 C0_RTOL = 1e-6                 # fitted C_0 against [G(1+v) G(1-v)]^2
+
+# the modules whose code computes S(omega); spectrum.npz is keyed by them
+_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
+                 for name in ("painleve.py", "spectral.py", "fredholm.py"))
 
 
 class TruncationError(RuntimeError):
@@ -310,6 +316,18 @@ class PowerSpectrumTable:
                 fh.write(f"{w:.17g},{v:.17g},{e:.17g},{self.backend}\n")
 
 
+def _cache_key(config: SpectrumConfig) -> str:
+    """The config, a sha256 of the _SOURCES, and the numpy and scipy
+    versions, as one JSON string."""
+    digest = hashlib.sha256()
+    for path in _SOURCES:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return json.dumps({"config": asdict(config), "sources": digest.hexdigest(),
+                       "numpy": np.__version__, "scipy": scipy.__version__},
+                      sort_keys=True)
+
+
 class SpectrumInterpolant:
     """Piecewise-Chebyshev model of S(omega) on [omega_min, pi].
 
@@ -336,14 +354,15 @@ class SpectrumInterpolant:
         edges.append(np.pi)
         if cache_path is None:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
-        # the file is keyed by everything that produced it (the edges follow
-        # from config.omega_min); a file of any other key, or one np.load
-        # cannot read, is rebuilt and overwritten
-        key = json.dumps(asdict(config), sort_keys=True)
+        # the file is keyed by everything that produced it: the config (the
+        # edges follow from config.omega_min), the node count, the code and
+        # the numpy and scipy versions; a file of any other key, or one
+        # np.load cannot read, is rebuilt and overwritten
+        key = _cache_key(config)
         if cache_path and os.path.exists(cache_path):
             try:
                 with np.load(cache_path, allow_pickle=False) as data:
-                    if (str(data.get("config")) == key
+                    if (str(data.get("key")) == key
                             and int(data["nodes"]) == nodes):
                         coeffs = [data[f"c{i}"] for i in range(len(edges) - 1)]
                         return cls(np.array(edges), coeffs, omega_min,
@@ -357,7 +376,7 @@ class SpectrumInterpolant:
             vals = np.array([power_spectrum(float(w), config)[0] for w in om])
             coeffs.append(np.polynomial.chebyshev.chebfit(xc, vals, nodes - 1))
         if cache_path:
-            payload = {"config": key, "nodes": nodes}
+            payload = {"key": key, "nodes": nodes}
             for i, c in enumerate(coeffs):
                 payload[f"c{i}"] = c
             # a whole file or none: a build cut short leaves no half file

@@ -97,10 +97,15 @@ class TestExactInversion:
 
 # delta I_k from the earlier per-lag quadrature (a fresh Gauss-Legendre
 # rule per lag and panel, pointwise spectrum evaluation) on the default
-# 16-node interpolant, as built with the analytic spectral tail closure
-# and the lifted path below the real axis
-PER_LAG_VALUES = {0: 0.1799938777213375, 20: -0.0001269969181651397,
-                  400: -3.1662567397775287e-07}
+# 16-node interpolant, as built with the analytic spectral tail closure,
+# the lifted path below the real axis and the Taylor stepper
+PER_LAG_VALUES = {0: 0.17999387772131814, 20: -0.0001269969181675566,
+                  400: -3.1662567539264417e-07}
+
+# the same on the interpolant that scipy's DOP853 stepper built; the values
+# must agree to 1e-12
+DOP853_PER_LAG_VALUES = {0: 0.1799938777213375, 20: -0.0001269969181651397,
+                         400: -3.1662567397775287e-07}
 
 
 class TestSeriesExact:
@@ -121,6 +126,10 @@ class TestSeriesExact:
     def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
         assert abs(autocov_exact(k, spectrum_interpolant)
                    - PER_LAG_VALUES[k]) < 1e-15
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_per_lag_values_near_dop853_route(self, k):
+        assert abs(PER_LAG_VALUES[k] - DOP853_PER_LAG_VALUES[k]) <= 1e-12
 
 
 class TestSeriesAndSumRule:

@@ -232,6 +232,25 @@ class TestAggregate:
         assert mc.confidence_factor(0.99) == 2.5758
         assert mc.confidence_factor(0.95) == pytest.approx(1.96, abs=0.001)
 
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.999])
+    def test_confidence_factor_matches_normal_quantile(self, confidence):
+        from scipy.stats import norm
+        assert (mc.confidence_factor(confidence)
+                == float(norm.ppf(0.5 + 0.5 * confidence)))
+
+    def test_import_leaves_stats_and_integrate_out(self):
+        # the two scipy subpackages double the package's import time
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        code = ("import sys, spacingcov\n"
+                "print(sorted(m for m in sys.modules if m.startswith(\n"
+                "    ('scipy.stats', 'scipy.integrate'))))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestStreamingRun:
     def test_matches_two_pass_reference(self, mc_small_run):

@@ -152,8 +152,10 @@ class TestSolver:
         x = np.random.default_rng(0).permutation(x)
 
         def pointwise(row, series):
+            # one point at a time, from the Taylor piece that holds it
             return np.array([series(np.array([xi]))[0]
-                             if xi <= traj.series_radius else traj._dense(xi)[row]
+                             if xi <= traj.series_radius
+                             else traj._path(np.array([xi]), row)[0]
                              for xi in x])
 
         assert np.array_equal(traj.eval_sigma(x),
@@ -171,7 +173,8 @@ class TestSolver:
         if traj.elevation:
             tau = np.array([0.0, 0.3, 0.7, 1.0]) * traj.elevation
             assert np.array_equal(traj.vertical_log_integral(tau),
-                                  [traj._vertical(v)[-1] for v in tau])
+                                  [traj._lift(np.array([v]), -1)[0]
+                                   for v in tau])
             for bad in (1.5 * traj.elevation, -0.3 * traj.elevation):
                 with pytest.raises(ValueError):
                     traj.vertical_log_integral(bad)
@@ -230,6 +233,17 @@ class TestSolver:
         assert np.array_equal(at.log_integral,
                               solve_sigma0(z, 0.1).eval_log_integral([0.05, 0.1]))
 
+    @pytest.mark.parametrize("omega", [0.3, 1.5, 2.6, 2.8, np.pi])
+    def test_exp_l_matches_determinant_to_400(self, omega):
+        # the real axis up to omega = 2.7, the lifted path and its descents
+        # beyond; the worst seen was 7.1e-13 (omega = 2.6, lambda = 399)
+        z = 1.0 - np.exp(1j * omega)
+        traj = solve_sigma0(z, 400.0)
+        assert bool(traj.elevation) == (omega > 2.7)
+        for lam in (5.0, 50.0, 200.0, 399.0):
+            det = sine_kernel_det_auto(z, lam / TWO_PI)
+            assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
+
 
 class TestBranchChoice:
     def test_tie_raises(self):
@@ -244,15 +258,40 @@ class TestBranchChoice:
                 painleve._select_spp(t, s, sp, prev)
             assert info.value.t_star == t
 
-    def test_lifted_near_tie_raises(self):
-        # at omega = 2.95 a path at Im t = +1, among the determinant's
-        # zeros, meets a near-tie at t = 508.93 + i; without the guard it
-        # went on along the other branch, and exp L left the Fredholm
-        # determinant there (4e-11 at t = 505 + i, 1e-5 at 510 + i, 7e-3
-        # at 550 + i)
+    def test_upper_path_passes_the_old_near_tie(self):
+        # at omega = 2.95 a path at Im t = +1 runs among the determinant's
+        # zeros, past poles of sigma near 505.8 + i and a near-zero of
+        # sigma'' near 508.9 + i.  A solver that chose the branch at each of
+        # its own stages met a tie there; a Taylor piece carries sigma'' to
+        # the next centre, where it points along one root, and the descents
+        # match the Fredholm determinant beyond it
+        z = 1.0 - np.exp(2.95j)
+        traj = solve_sigma0(z, 600.0, elevation=1.0)
+        for lam in (505.0, 510.0, 550.0, 599.0):
+            det = sine_kernel_det_auto(z, lam / TWO_PI)
+            assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
+
+    def test_path_turned_off_branch_raises(self, monkeypatch):
+        # every centre of a lifted path checks the sigma'' carried to it:
+        # turned a quarter turn at the end of the tenth step along the
+        # path, it decides nothing and the solve stops at that centre
+        z = 1.0 - np.exp(3.0j)
+        state_at, ends = painleve._state_at, []
+
+        def turned(a, l, tau):
+            s, sp, spp, L = state_at(a, l, tau)
+            if isinstance(tau, float):          # along the path, not the lift
+                ends.append(tau)
+                if len(ends) == 10:
+                    return s, sp, 1j * spp, L
+            return s, sp, spp, L
+
+        monkeypatch.setattr(painleve, "_state_at", turned)
         with pytest.raises(BranchAmbiguityError) as info:
-            solve_sigma0(1.0 - np.exp(2.95j), 600.0, elevation=1.0)
-        assert abs(info.value.t_star - (508.93 + 1.0j)) < 0.01
+            solve_sigma0(z, 10.0)
+        t0, elevation = path_geometry(z)
+        assert len(ends) == 10
+        assert abs(info.value.t_star - complex(t0 + sum(ends), elevation)) < 1e-12
 
     def test_default_path_passes_the_near_tie(self):
         # below the axis no zero of the determinant lies near the path:

@@ -40,10 +40,22 @@ PANEL_EXTRAPOLATOR = {
 }
 
 # (value, error) of power_spectrum with one BLAS thread, as float.hex, from
-# the route that read exp L off a dense solution of the whole path; read
-# at the quadrature nodes only, the same steps must give the same bits.
+# the route that read exp L off the whole trajectory; read at the
+# quadrature nodes only, the same Taylor pieces must give the same bits.
 # The lifted entries (omega > 2.7) are of the path at Im t = -2
 DENSE_ROUTE_BITS = {
+    0.05: ("0x1.04997ab22f4a7p-7", "0x1.19295e8b1f209p-41"),
+    0.3: ("0x1.81a55fc38c79bp-5", "0x1.373240ffb17c9p-40"),
+    1.0: ("0x1.26377ccda7443p-3", "0x1.0416ba51d0d66p-37"),
+    2.2: ("0x1.f99918ed236c1p-3", "0x1.1cb99b20bd835p-39"),
+    2.75: ("0x1.114b2ee949300p-2", "0x1.06c484be23f89p-37"),
+    3.0: ("0x1.14fe7512b41a2p-2", "0x1.72e7b3d1e4b95p-37"),
+    np.pi: ("0x1.158cbf885b195p-2", "0x1.a1e73e6f37818p-37"),
+}
+
+# the same (value, error) as scipy's DOP853 stepper gave them, before the
+# Taylor stepper; the values must agree to 1e-12
+DOP853_ROUTE_BITS = {
     0.05: ("0x1.04997ab2855a9p-7", "0x1.963b1ea4f9ecbp-38"),
     0.3: ("0x1.81a55fc38cb95p-5", "0x1.f5d2c2ba2061dp-39"),
     1.0: ("0x1.26377ccda6619p-3", "0x1.dbd14ad45c9f4p-38"),
@@ -103,6 +115,13 @@ class TestPowerSpectrum:
                              check=True).stdout
         got = dict(zip(omegas, map(tuple, json.loads(out))))
         assert got == DENSE_ROUTE_BITS
+
+    @pytest.mark.parametrize("omega", sorted(DOP853_ROUTE_BITS))
+    def test_values_near_dop853_route(self, omega):
+        # test_bits_match_dense_route ties the computed values to the
+        # literals; here the literals of both steppers are held together
+        val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
+        assert abs(val - float.fromhex(DOP853_ROUTE_BITS[omega][0])) <= 1e-12
 
     @pytest.mark.parametrize("omega", sorted(UPPER_PATH_VALUES))
     def test_lifted_values_near_upper_path(self, omega):
@@ -179,9 +198,7 @@ class TestTailClosure:
     def test_bad_fit_raises(self, monkeypatch):
         # without the t^-m corrections the lifted-path fit at omega = 2.95
         # is visibly off (misfit 6e-4, C_0 off by 2e-3): no value may come
-        # back.  (A window reaching t = 600 no longer gets this far: the
-        # path's branch choice near t = 508.93 + i raises first, see
-        # test_painleve's test_lifted_near_tie_raises.)
+        # back.
         monkeypatch.setattr(spectral, "FIT_ORDER", 1)
         with pytest.raises(spectral.TruncationError):
             power_spectrum(2.95)
@@ -358,3 +375,39 @@ class TestInterpolant:
             assert calls
             build(nodes=5)                  # and overwritten whole
             assert calls == []
+
+    def test_cache_file_keyed_by_source_hash(self, tmp_path, monkeypatch):
+        # a copy of the three source files stands in for the package's
+        calls = []
+
+        def counting_stub(omega, config=spectral.DEFAULT_SPECTRUM_CONFIG):
+            calls.append(omega)
+            return omega, 0.0
+
+        monkeypatch.setattr(spectral, "power_spectrum", counting_stub)
+        sources = []
+        for src in spectral._SOURCES:
+            copy = tmp_path / os.path.basename(src)
+            copy.write_bytes(open(src, "rb").read())
+            sources.append(str(copy))
+        monkeypatch.setattr(spectral, "_SOURCES", tuple(sources))
+        path = str(tmp_path / "spectrum.npz")
+
+        def build():
+            calls.clear()
+            SpectrumInterpolant.build(nodes=4, cache_path=path)
+
+        build()
+        assert calls
+        build()                             # same sources: reused
+        assert calls == []
+        for src in sources:
+            with open(src, "a") as fh:      # any edit of any of the three
+                fh.write("\n")
+            build()                         # changed hash: rebuilt
+            assert calls
+            build()
+            assert calls == []
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        build()                             # another numpy: rebuilt
+        assert calls
