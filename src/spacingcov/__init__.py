@@ -6,6 +6,11 @@
   plus closed-form large-lag asymptotics
 - montecarlo: CUE(N) sampling with streaming statistics
 - cli: the `spacingcov` command
+
+The exact route needs numpy alone; importing the package loads no scipy.
+scipy is loaded by montecarlo (LAPACK's banded eigensolver), whose names
+below resolve on first use, and by `autocov_asymptotic_ci` (the cosine
+integral).
 """
 
 from .autocov import (AutocovSeries, autocov_asymptotic, autocov_asymptotic_ci,
@@ -13,10 +18,6 @@ from .autocov import (AutocovSeries, autocov_asymptotic, autocov_asymptotic_ci,
                       build_spectrum_interpolant, sum_rule_residual)
 from .fredholm import (DeterminantRequest, gap_probability, sine_kernel_det,
                        sine_kernel_det_auto)
-from .montecarlo import (CueBatch, MCConfig, MCEstimate, aggregate,
-                         finite_n_power_spectra, number_variance,
-                         ordered_level_variance, running_autocov,
-                         sample_cue_eigenangles, unfold)
 from .painleve import (SigmaTrajectory, SolverConfig, SpectralParameter,
                        log_generating_function, series_sigma0, solve_sigma0)
 from .spectral import (PowerSpectrumTable, SpectrumConfig, SpectrumInterpolant,
@@ -39,3 +40,17 @@ __all__ = [
     "sine_kernel_det_auto", "solve_sigma0", "spacing_distribution",
     "sum_rule_residual", "unfold",
 ]
+
+# montecarlo imports scipy.linalg, which the exact route does not need
+_MONTECARLO_NAMES = frozenset({
+    "CueBatch", "MCConfig", "MCEstimate", "aggregate",
+    "finite_n_power_spectra", "number_variance", "ordered_level_variance",
+    "running_autocov", "sample_cue_eigenangles", "unfold"})
+
+
+def __getattr__(name):
+    """The montecarlo names, imported on first use (PEP 562)."""
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

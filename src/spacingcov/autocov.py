@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import sici
 
 from .spectral import (DEFAULT_SPECTRUM_CONFIG, SpectrumConfig,
                        SpectrumInterpolant, power_spectrum_small_omega)
@@ -111,6 +110,9 @@ def autocov_asymptotic_ci(k: int) -> float:
     """Refined form with the -Ci(pi k) term kept inside the k^-4 bracket."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    # scipy.special loads here, not with the package: the exact route is
+    # numpy alone
+    from scipy.special import sici
     ci = sici(np.pi * k)[1]
     sub = 3.0 / (2.0 * np.pi ** 4 * k ** 4) * (
         np.log(TWO_PI * k) - ci + EULER_GAMMA - 11.0 / 6.0)

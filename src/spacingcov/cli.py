@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from . import autocov as ac
-from . import montecarlo as mc
 from .spectral import PowerSpectrumTable, SpectrumConfig, SpectrumInterpolant
 
 SCHEMA = "spacingcov/v1"
@@ -128,6 +127,7 @@ def cmd_autocov(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from . import montecarlo as mc       # scipy.linalg loads only here
     config = mc.MCConfig(
         N=_resolve(args, "n", 256, int),
         M=_resolve(args, "m", 100_000, int),

@@ -14,7 +14,9 @@ Chunk RNG streams are spawned from one seed, so results are bit-identical
 for a given config whatever the number of worker threads, at a fixed BLAS
 thread count: the cross-moment sums are BLAS products whose summation
 order follows that count (about 1 ulp apart between 1 and 2 OpenBLAS
-threads).  A checkpoint of the partial sums makes runs resumable.
+threads).  A checkpoint of the partial sums makes runs resumable; it is
+keyed by the config, this module's code and the numpy and scipy versions,
+and a file of any other key is refused.
 
 Samplers: dense QR of a complex Ginibre matrix with the phase correction,
 and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
@@ -29,15 +31,17 @@ step (see ``_szego_phase`` and ``_szego_angles``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
+import scipy
 from scipy.linalg import eig_banded
-from scipy.special import ndtri
 
 TWO_PI = 2.0 * np.pi
 C_99 = 2.5758                      # 99% two-sided normal quantile
@@ -76,9 +80,6 @@ class MCConfig:
     def chunk_bounds(self, c: int):
         lo = c * self.chunk_size
         return lo, min(lo + self.chunk_size, self.M)
-
-    def key(self) -> str:
-        return json.dumps(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,7 @@ class MCEstimate:
 def confidence_factor(confidence: float = 0.99) -> float:
     if confidence == 0.99:
         return C_99
+    from scipy.special import ndtri      # loaded only for other levels
     return float(ndtri(0.5 + 0.5 * confidence))
 
 
@@ -439,11 +441,26 @@ def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:
     return MCRunResult(config, delta, est, cov, acc.chunk_lead_cross)
 
 
-_CKPT_VERSION = 3       # 3: one-state Szego decoder, Christoffel-Darboux slope
+# the module whose code fills the checkpoint's sums
+_SOURCE = __file__
+
+
+@lru_cache(maxsize=None)
+def _source_digest(path) -> str:
+    """sha256 of the file at ``path``, read once per process."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _checkpoint_key(config: MCConfig) -> dict:
+    """Everything that fills a checkpoint: the config, a sha256 of
+    _SOURCE, and the numpy and scipy versions."""
+    return {"config": asdict(config), "source": _source_digest(_SOURCE),
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):
-    payload = {"version": _CKPT_VERSION, "config": config.key(),
+    payload = {"key": json.dumps(_checkpoint_key(config), sort_keys=True),
                "next_chunk": acc.next_chunk, "sum_s": acc.sum_s,
                "cross": acc.cross, "chunk_lead_cross": acc.chunk_lead_cross}
     for k, m in enumerate(acc.prod_sq):
@@ -455,11 +472,15 @@ def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):
 
 def _load_checkpoint(path, config: MCConfig) -> _Accumulators:
     with np.load(path, allow_pickle=False) as data:
-        if int(data["version"]) != _CKPT_VERSION:
-            raise CheckpointMismatch("unsupported checkpoint version")
-        if str(data["config"]) != config.key():
+        # a file of an older layout has no key and matches nothing
+        found = json.loads(str(data["key"])) if "key" in data else {}
+        expected = _checkpoint_key(config)
+        differ = [name for name in sorted(expected)
+                  if found.get(name) != expected[name]]
+        if differ:
             raise CheckpointMismatch(
-                "checkpoint was produced by a different configuration")
+                "checkpoint was produced by a different "
+                + ", ".join(differ))
         # every item read from the archive is a fresh array
         return _Accumulators(
             data["sum_s"], data["cross"],

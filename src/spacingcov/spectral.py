@@ -47,13 +47,12 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from math import factorial
 from zipfile import BadZipFile
 
 import numpy as np
-import scipy
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import zeta as riemann_zeta
 
 from .fredholm import DeterminantRequest, gap_probability, sine_kernel_det
 from .painleve import (DEFAULT_CONFIG, SolverConfig, path_geometry,
@@ -96,6 +95,29 @@ class SpectrumConfig:
 
 DEFAULT_SPECTRUM_CONFIG = SpectrumConfig()
 
+ZETA_DIRECT = 11               # terms of zeta(s) summed directly
+# B_2, B_4, ..., B_12: the Euler-Maclaurin corrections of zeta's tail
+BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _zeta(s):
+    """Riemann zeta(s), elementwise for real s >= 3: the terms k <= 11
+    summed directly, the rest by Euler-Maclaurin at n = 12 with the
+    corrections B_2j/(2j)! s(s+1)...(s+2j-2) n^(1-s-2j), j <= 6.  The first
+    neglected correction is 3.9e-17 relative at s = 3 and falls fast with
+    s, below the rounding of the sum; smallest terms are added first."""
+    s = np.asarray(s, dtype=float)
+    n = ZETA_DIRECT + 1
+    rising = s                               # s(s+1)...(s+2j-2)
+    corrections = []
+    for j, b in enumerate(BERNOULLI, 1):
+        corrections.append(b / factorial(2 * j) * rising * n ** (1 - s - 2 * j))
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+    total = n ** (1 - s) / (s - 1) + 0.5 * n ** -s + sum(reversed(corrections))
+    for k in range(ZETA_DIRECT, 0, -1):
+        total = total + float(k) ** -s
+    return total
+
 
 def _barnes_g_product(v):
     """G(1+v) G(1-v) for |v| <= 1/2, G the Barnes G-function, from
@@ -104,7 +126,7 @@ def _barnes_g_product(v):
     if abs(v) > 0.5:
         raise ValueError(f"|v| must be <= 1/2, got {v}")
     n = np.arange(40, 1, -1)                 # smallest terms first
-    series = np.sum(riemann_zeta(2 * n - 1) * v ** (2 * n) / n)
+    series = np.sum(_zeta(2 * n - 1) * v ** (2 * n) / n)
     return float(np.exp(-(1.0 + np.euler_gamma) * v * v - series))
 
 
@@ -317,15 +339,15 @@ class PowerSpectrumTable:
 
 
 def _cache_key(config: SpectrumConfig) -> str:
-    """The config, a sha256 of the _SOURCES, and the numpy and scipy
-    versions, as one JSON string."""
+    """The config, a sha256 of the _SOURCES, and the numpy version, as one
+    JSON string.  No scipy code computes S(omega), so its version is not
+    part of the key."""
     digest = hashlib.sha256()
     for path in _SOURCES:
         with open(path, "rb") as fh:
             digest.update(fh.read())
     return json.dumps({"config": asdict(config), "sources": digest.hexdigest(),
-                       "numpy": np.__version__, "scipy": scipy.__version__},
-                      sort_keys=True)
+                       "numpy": np.__version__}, sort_keys=True)
 
 
 class SpectrumInterpolant:
@@ -356,8 +378,8 @@ class SpectrumInterpolant:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
         # the file is keyed by everything that produced it: the config (the
         # edges follow from config.omega_min), the node count, the code and
-        # the numpy and scipy versions; a file of any other key, or one
-        # np.load cannot read, is rebuilt and overwritten
+        # the numpy version; a file of any other key, or one np.load cannot
+        # read, is rebuilt and overwritten
         key = _cache_key(config)
         if cache_path and os.path.exists(cache_path):
             try:

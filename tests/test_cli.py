@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,27 @@ class TestAutocov:
         rc, _ = _run(tmp_path, "x.csv",
                      ["autocov", "--k-max", str(ac.K_CAP + 1)])
         assert rc == 2
+
+
+class TestScipyLoading:
+    def test_spectrum_and_autocov_leave_linalg_out(self, tmp_path,
+                                                   spectrum_interpolant):
+        # the fixture fills the shared interpolant cache the child reads
+        src = os.path.dirname(os.path.dirname(ac.__file__))
+        out = str(tmp_path / "out.csv")
+        code = ("import sys\n"
+                "from spacingcov.cli import main\n"
+                "for argv in sys.argv[1:]:\n"
+                "    assert main(argv.split()) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith(\n"
+                "    ('scipy.linalg', 'spacingcov.montecarlo'))))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             f"spectrum --omega-min 1.0 --points 2 --out {out}",
+             f"autocov --k-max 3 --out {out}"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMonteCarlo:

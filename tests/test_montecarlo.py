@@ -1,6 +1,8 @@
+import json
 import os
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -239,17 +241,37 @@ class TestAggregate:
                 == float(norm.ppf(0.5 + 0.5 * confidence)))
 
     def test_import_leaves_stats_and_integrate_out(self):
-        # the two scipy subpackages double the package's import time
+        # scipy takes most of the package's import time, and the exact
+        # route needs none of it: no scipy module, stats and integrate
+        # included, loads with the package
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(mc.__file__))
         code = ("import sys, spacingcov\n"
-                "print(sorted(m for m in sys.modules if m.startswith(\n"
-                "    ('scipy.stats', 'scipy.integrate'))))")
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestLazyExports:
+    def test_names_are_the_module_objects(self):
+        import spacingcov
+        assert spacingcov.MCConfig is mc.MCConfig
+        assert spacingcov.unfold is mc.unfold
+
+    def test_star_import_binds_all(self):
+        import spacingcov
+        namespace = {}
+        exec("from spacingcov import *", namespace)
+        for name in spacingcov.__all__:
+            assert namespace[name] is getattr(spacingcov, name)
+
+    def test_unknown_name_raises(self):
+        import spacingcov
+        with pytest.raises(AttributeError):
+            spacingcov.no_such_name
 
 
 class TestStreamingRun:
@@ -336,15 +358,41 @@ class TestStreamingRun:
     def test_checkpoint_config_mismatch(self, tmp_path, monkeypatch):
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
         other = MCConfig(N=24, M=400, seed=2, k_max=3, chunk_size=200, lead=12)
-        # written by another configuration, or by this one under the first
-        # checkpoint version (sums from the earlier sampler)
-        for written_by, version in ((other, mc._CKPT_VERSION), (cfg, 1)):
-            ck = str(tmp_path / f"ck_{written_by.seed}_{version}.npz")
-            monkeypatch.setattr(mc, "_CKPT_VERSION", version)
-            mc.run(written_by, checkpoint_path=ck)
-            monkeypatch.undo()
-            with pytest.raises(CheckpointMismatch):
-                mc.run(cfg, checkpoint_path=ck, resume=True)
+        # written by another configuration
+        ck = str(tmp_path / "ck_other.npz")
+        mc.run(other, checkpoint_path=ck)
+        with pytest.raises(CheckpointMismatch, match="config"):
+            mc.run(cfg, checkpoint_path=ck, resume=True)
+        # written by this configuration under another montecarlo.py: a copy
+        # of the source stands in for the module's, then an edited copy
+        with open(mc._SOURCE, "rb") as fh:
+            source = fh.read()
+        same, edited = tmp_path / "same.py", tmp_path / "edited.py"
+        same.write_bytes(source)
+        edited.write_bytes(source + b"\n")
+        ck = str(tmp_path / "ck_source.npz")
+        monkeypatch.setattr(mc, "_SOURCE", str(same))
+        mc.run(cfg, checkpoint_path=ck)
+        mc.run(cfg, checkpoint_path=ck, resume=True)      # same code: resumed
+        monkeypatch.setattr(mc, "_SOURCE", str(edited))
+        with pytest.raises(CheckpointMismatch, match="source"):
+            mc.run(cfg, checkpoint_path=ck, resume=True)
+        # or under another numpy
+        monkeypatch.setattr(mc, "_SOURCE", str(same))
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        with pytest.raises(CheckpointMismatch, match="numpy"):
+            mc.run(cfg, checkpoint_path=ck, resume=True)
+
+    def test_checkpoint_without_key_is_refused(self, tmp_path):
+        # the layout before the key: a version number and the config
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
+        ck = str(tmp_path / "ck.npz")
+        mc.run(cfg, checkpoint_path=ck)
+        with np.load(ck) as data:
+            payload = {k: data[k] for k in data.files if k != "key"}
+        np.savez(ck, version=3, config=json.dumps(asdict(cfg)), **payload)
+        with pytest.raises(CheckpointMismatch):
+            mc.run(cfg, checkpoint_path=ck, resume=True)
 
     def test_checkpoint_every_guard(self, tmp_path, monkeypatch):
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)

@@ -186,6 +186,24 @@ class TestTailClosure:
     def test_g_product_at_zero(self):
         assert spectral._barnes_g_product(0.0) == 1.0
 
+    def test_zeta_matches_scipy(self):
+        from scipy.special import zeta
+        s = 2.0 * np.arange(2, 41) - 1.0       # the odd values the G series uses
+        expect = zeta(s)
+        assert np.all(np.abs(spectral._zeta(s) - expect)
+                      <= 2 * np.spacing(expect))
+
+    def test_exact_route_loads_no_scipy(self):
+        # the spectrum cache key leaves the scipy version out; that holds
+        # only while nothing on this route imports scipy
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        code = ("import sys, spacingcov.spectral, spacingcov.autocov\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("omega", [0.1, 1.0, 3.0])
     def test_fitted_c0_matches_closed_form(self, omega, monkeypatch):
         fits = _spy_tail(monkeypatch)
