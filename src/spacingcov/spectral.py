@@ -180,6 +180,15 @@ def _fredholm_path(omega: float, x_max: float, config: SpectrumConfig):
     return x, w, values, 0j, 0.0
 
 
+@lru_cache(maxsize=1)
+def _laguerre_rule():
+    """Gauss-Laguerre nodes and weights for the rays, read-only: built once
+    per process."""
+    x, w = laggauss(LAGUERRE_NODES)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _tail(v: float, x, values, elevation: float, order: int):
     """(tail, C_0, misfit): integral of exp L from t = Lambda + i elevation
     to infinity, from the model fitted to ``values`` = exp L at path
@@ -198,7 +207,7 @@ def _tail(v: float, x, values, elevation: float, order: int):
     amp = np.linalg.lstsq(A, values, rcond=None)[0]
     misfit = np.linalg.norm(A @ amp - values) / np.linalg.norm(values)
     # rotated rays: t = t_L + i sgn(r) s, e^{irt} = e^{irt_L} e^{-|r| s}
-    lx, lw = laggauss(LAGUERRE_NODES)
+    lx, lw = _laguerre_rule()
     sgn, speed = np.sign(rates), np.abs(rates)
     t_L = TAIL_START + 1j * elevation
     rays = t_L + 1j * (sgn / speed)[:, None] * lx                  # (j, k)

@@ -95,25 +95,34 @@ class TestExactInversion:
         assert abs(lhs - rhs) < 1e-6
 
 
-# delta I_k from the earlier per-lag quadrature (a fresh Gauss-Legendre
-# rule per lag and panel, pointwise spectrum evaluation) on the default
-# 16-node interpolant, as built with the analytic spectral tail closure,
-# the lifted path below the real axis and the Taylor stepper
-PER_LAG_VALUES = {0: 0.17999387772131814, 20: -0.0001269969181675566,
-                  400: -3.1662567539264417e-07}
+# delta I_k on the fixed composite rule of autocov._rule (32 Gauss-Legendre
+# nodes per sub-panel) on the default 16-node interpolant, as built with the
+# analytic spectral tail closure, the lifted path below the real axis and
+# the Taylor stepper
+PER_LAG_VALUES = {0: 0.17999387772131814, 20: -0.00012699691816766483,
+                  400: -3.1662567236380083e-07}
 
-# the same on the interpolant that scipy's DOP853 stepper built; the values
-# must agree to 1e-12
+# the same on the earlier rules sized by the largest lag (one Gauss-Legendre
+# rule per panel with 10 nodes per period of cos(omega k)), whose series and
+# single-lag values differed by up to about 1e-13; the values must agree to
+# that
+SIZED_RULE_PER_LAG_VALUES = {0: 0.17999387772131814, 20: -0.0001269969181675566,
+                             400: -3.1662567539264417e-07}
+
+# the sized-rule values on the interpolant that scipy's DOP853 stepper
+# built; the values must agree to 1e-12
 DOP853_PER_LAG_VALUES = {0: 0.1799938777213375, 20: -0.0001269969181651397,
                          400: -3.1662567397775287e-07}
 
 
 class TestSeriesExact:
     def test_series_matches_single_lags(self, spectrum_interpolant):
+        # one rule for every lag: only the matrix-vector product's rounding
+        # separates a series from single lags
         series = autocov_series_exact(50, spectrum_interpolant)
-        for k in (0, 1, 7, 50):
+        for k in range(51):
             assert abs(series.values[k]
-                       - autocov_exact(k, spectrum_interpolant)) < 1e-13
+                       - autocov_exact(k, spectrum_interpolant)) < 1e-16
 
     def test_guard_before_any_rule(self, spectrum_interpolant, monkeypatch):
         def no_rule(n):
@@ -122,10 +131,33 @@ class TestSeriesExact:
         with pytest.raises(ValueError, match="resolution guard"):
             autocov_series_exact(401, spectrum_interpolant)
 
+    def test_no_large_rule(self, spectrum_interpolant, monkeypatch):
+        sizes = []
+
+        def recording(n):
+            sizes.append(n)
+            return np.polynomial.legendre.leggauss(n)
+        monkeypatch.setattr(autocov, "leggauss", recording)
+        autocov_series_exact(autocov.K_CAP, spectrum_interpolant)
+        assert sizes and max(sizes) <= 32
+
+    @pytest.mark.parametrize("k_max, tol", [(50, 2e-15), (autocov.K_CAP, 2e-14)])
+    def test_rule_integrates_cosines(self, spectrum_interpolant, k_max, tol):
+        rule = autocov._rule(spectrum_interpolant)
+        x, w = (np.concatenate(a) for a in zip(*rule))
+        assert x.min() > 0.0 and x.max() < np.pi
+        for k in range(k_max + 1):
+            exact = np.pi if k == 0 else 0.0
+            assert abs(w @ np.cos(k * x) - exact) < tol, k
+
     @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
     def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
         assert abs(autocov_exact(k, spectrum_interpolant)
                    - PER_LAG_VALUES[k]) < 1e-15
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_per_lag_values_near_sized_rule(self, k):
+        assert abs(PER_LAG_VALUES[k] - SIZED_RULE_PER_LAG_VALUES[k]) <= 1e-13
 
     @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
     def test_per_lag_values_near_dop853_route(self, k):
