@@ -23,30 +23,33 @@ The step is the longest at which the last two terms of sigma and of L stay
 below rtol * atol.  The trajectory is the list of these polynomial pieces;
 values are read from them by Horner evaluation, so where values are asked
 for does not move a step.  t is complex, so one stepper with a complex
-direction serves the real axis, the lift, the lifted path and the descent.
+direction serves the lift, the path and the descent.
 
-On the real axis the pieces carry sigma'' from one centre to the next:
-the branch-free third-order form.  That form does not damp constraint
-perturbations: with the config tolerances the error in exp L at t = 400
-is about 1e-11 up to omega = 2.7, 2e-11 at 2.8 and 5e-10 at 2.9, growing
-about quadratically with t, and for omega close to pi the determinant has
-zeros on the real t-axis (sigma has poles there).  So from omega = 2.7 on
-the path is lifted to Im t = delta and runs the second-order form
-(t s'')^2 = -f (f + 4 s'^2), f = t s' - s: at each centre sigma'' is the
-root nearer the sigma'' that the previous piece carries there.  That keeps
-the state on the constraint manifold, from which the third-order form
-drifts exponentially along complex paths.  Real-axis values are recovered
-by a short vertical descent.
+One contour serves every zeta != 0.  From the series radius t0 it rises
+vertically to Im t = delta (the lift t = t0 + i tau), runs along
+Im t = delta, and reaches a real point lambda by a short vertical descent
+from lambda + i delta.  On all three legs the pieces run the second-order
+form (t s'')^2 = -f (f + 4 s'^2), f = t s' - s: at each centre sigma'' is
+the root nearer the sigma'' that the previous piece carries there.  That
+keeps the state on the constraint manifold, from which the third-order
+form, with sigma'' carried from piece to piece, drifts exponentially
+along complex paths.
 
-The lifted path runs below the real axis, at delta = -2.  With v =
-omega/2pi, the determinant's zeros lie where its two leading
-Fisher-Hartwig terms, t^{-2v^2} e^{ivt} and t^{-2(1-v)^2} e^{i(v-1)t}
-(Deift-Its-Krasovsky, Ann. Math. 2011), cancel: to leading order at
-Im t = 2 ln(Gamma(v)/Gamma(1-v)) + (2 - 4v) ln Re t.  For omega in
-[2.7, pi) that is between the axis and Im t = 2.2, so a path above the
-axis runs among the poles of sigma, where the steps shrink to the
-distance from the nearest pole.  Below the axis the term e^{ivt}
-dominates and no zero lies near the path.
+The contour runs below the real axis, at delta = -2.  With v =
+omega/2pi, the determinant's zeros (poles of sigma) lie where its two
+leading Fisher-Hartwig terms, t^{-2v^2} e^{ivt} and t^{-2(1-v)^2}
+e^{i(v-1)t} (Deift-Its-Krasovsky, Ann. Math. 2011), cancel: to leading
+order at Im t = 2 ln(Gamma(v)/Gamma(1-v)) + (2 - 4v) ln Re t.  For v in
+(0, 1/2] that is on or above the axis: on it at omega = pi, between the
+axis and Im t = 2.2 for omega in [2.7, pi) up to t = 400, and higher for
+smaller omega.  So a path on or above the axis can run among the poles of
+sigma, where the steps shrink to the distance from the nearest pole.
+Below the axis the term e^{ivt} dominates and no zero lies near the path.
+Off the circle the same contour serves: at zeta = 0.5 and 1 its descents
+match the Fredholm determinant to 9e-16 for lambda <= 39.  On the circle
+the worst |exp L - det| seen at lambda <= 399 is 9.8e-13
+(omega = 1.5, lambda = 399), and the worst error estimate of S over the
+96 interpolant nodes is 1.3e-11.
 """
 
 from __future__ import annotations
@@ -110,14 +113,22 @@ class SolverConfig:
     # a Taylor step's last two terms of sigma and of L stay below rtol * atol
     rtol: float = 1e-12
     atol: float = 1e-13
-    # lift the path for omega beyond this: from about 2.7 on, the real-axis
-    # path's error in L grows to ~1e-8 by t = 400
-    elevation_omega: float = 2.7
-    # Im t of the lifted path.  For omega in [2.7, pi) the determinant's
-    # zeros near the path (poles of sigma) lie between the axis and
-    # Im t = 2.2, where its two leading Fisher-Hartwig terms cancel (module
-    # docstring); below the axis no zero lies near the path
+    # Im t of the path beyond the series radius, for every zeta != 0.  The
+    # determinant's zeros (poles of sigma) lie on or above the real axis,
+    # up to Im t = 2.2 for omega in [2.7, pi) (module docstring); below the
+    # axis none lies near the path.  Nonzero: on the axis the path meets
+    # them at omega close to pi
     elevation: float = -2.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.elevation) and self.elevation != 0.0):
+            raise ValueError(
+                f"elevation must be finite and nonzero, got {self.elevation}")
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -311,14 +322,13 @@ class _Pieces:
         return out
 
 
-def _integrate(t_of, rot, span, state, eps, tracked, what, t_star=None):
+def _integrate(t_of, rot, span, state, eps, what, t_star=None):
     """Taylor steps from p = span[0] to span[1] (either way) along
     t = t_of(p), dt = rot dp, from state = (sigma, sigma', sigma'', L).
 
-    Untracked, sigma'' is carried from piece to piece: the third-order form.
-    Tracked, the centre's sigma'' is the _select_spp root nearer the
-    carried one: the branch-tracked second-order form.  Each step is as
-    long as _step allows, so where values are read later does not move it.
+    At each centre sigma'' is the _select_spp root nearer the carried one:
+    the branch-tracked second-order form.  Each step is as long as _step
+    allows, so where values are read later does not move it.
     Returns the _Pieces and the end state; a step that collapses raises
     SolverError at ``t_star``, by default where the solve stalled.
     """
@@ -328,8 +338,7 @@ def _integrate(t_of, rot, span, state, eps, tracked, what, t_star=None):
     knots, sigma, logint = [p], [], []
     while p != end:
         tc = t_of(p)
-        if tracked:
-            spp = _select_spp(tc, s, sp, spp)
+        spp = _select_spp(tc, s, sp, spp)
         a, l = _taylor(tc, s, sp, spp, L)
         h = _step(a, l, eps)
         if not h > 1e-9 * max(1.0, abs(p)):          # nan included
@@ -361,18 +370,18 @@ class SigmaTrajectory:
 
     The truncated power series is authoritative up to ``series_radius``.
     Beyond it the Taylor pieces of the path run in path position x up to
-    ``t_max``, on the path Im t = ``elevation``; on a lifted path the pieces
-    of the vertical lift t = series_radius + i tau lead there.  Every value
-    is read from these pieces, and a position outside them raises
-    ValueError.  ``t_grid`` lists the ends of the path's steps.
+    ``t_max``, on the path Im t = ``elevation``; the pieces of the vertical
+    lift t = series_radius + i tau lead there.  Every value is read from
+    these pieces, and a position outside them raises ValueError.
+    ``t_grid`` lists the ends of the path's steps.
     """
 
     zeta: complex
     series_radius: float
-    elevation: float                      # 0.0 for a real-axis path
+    elevation: float                      # Im t of the path
     _series: _Series
     _path: _Pieces = None                 # in x, on [series_radius, t_max]
-    _lift: _Pieces = None                 # in tau, on a lifted path
+    _lift: _Pieces = None                 # in tau, on [0, elevation]
     _config: SolverConfig = DEFAULT_CONFIG
 
     @property
@@ -408,25 +417,26 @@ class SigmaTrajectory:
         return self._eval(x, 0)
 
     def vertical_log_integral(self, tau) -> np.ndarray:
-        """Log-integral along the initial lift t = t0 + i tau (lifted paths)."""
+        """Log-integral along the lift t = t0 + i tau."""
         if self._lift is None:
             raise ValueError("trajectory has no vertical segment")
         return self._lift(_checked(tau, self.elevation, "lift heights"), -1)
 
     def log_integral_real_axis(self, lam: float) -> complex:
-        """Log-integral at the real point t = lam, descending if lifted.
+        """Log-integral at the real point t = lam: the series up to the
+        series radius, beyond it a descent from lam + i elevation.
 
         The descent starts from the path's state at lam, on the sigma''
         root nearer the path's own sigma'' there.
         """
         lam = float(_checked(lam, self.t_max, "lambda")[0])
-        if lam <= self.series_radius or not self.elevation:
+        if lam <= self.series_radius:
             return complex(self._eval(lam, -1)[0])
         state = tuple(complex(self._path(np.array([lam]), row)[0])
                       for row in (0, 1, 2, -1))
         _, (_, _, _, L) = _integrate(
             lambda tau: complex(lam, tau), 1j, (self.elevation, 0.0), state,
-            _truncation(self._config), True,
+            _truncation(self._config),
             f"the descent to the real axis at t = {lam}", t_star=lam)
         return complex(L)
 
@@ -439,7 +449,7 @@ class SigmaTrajectory:
         differences, independently of the branch selection.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        # (t sigma'')^2 is large on lifted paths, so the stencil must
+        # (t sigma'')^2 is large off the real axis, so the stencil must
         # deliver sigma'' to ~1e-11: a wide 7-point rule keeps the state
         # noise averaged down while its h^6 truncation stays negligible
         h = 4e-3
@@ -470,18 +480,11 @@ class PathValues:
     vertical_log_integral: np.ndarray     # at the lift heights
 
 
-def _default_elevation(z: complex, config: SolverConfig) -> float:
-    omega = _omega_of(z)
-    lifted = omega is not None and omega > config.elevation_omega
-    return config.elevation if lifted else 0.0
-
-
 def path_geometry(zeta, config: SolverConfig = DEFAULT_CONFIG):
-    """(series_radius, elevation) of the path solve_sigma0 takes by
-    default for zeta != 0; a lifted path (elevation != 0) leaves the real
-    axis at the series radius."""
-    z = _as_zeta(zeta)
-    return _Series(z, config).radius(config), _default_elevation(z, config)
+    """(series_radius, elevation) of the path solve_sigma0 takes for
+    zeta != 0: it leaves the real axis at the series radius and rises to
+    Im t = config.elevation."""
+    return _Series(_as_zeta(zeta), config).radius(config), config.elevation
 
 
 def _truncation(config: SolverConfig) -> float:
@@ -490,30 +493,30 @@ def _truncation(config: SolverConfig) -> float:
 
 
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
-                 elevation: float | None = None, positions=None, heights=()):
-    """Integrate sigma0(t; zeta) with its log-integral up to t_max.
+                 positions=None, heights=()):
+    """Integrate sigma0(t; zeta) with its log-integral up to path position
+    t_max.
 
-    ``elevation`` overrides the automatic path choice: for zeta on the
-    circle with omega > config.elevation_omega the path is lifted to
-    Im t = config.elevation to stay clear of real-axis poles.  The
-    trajectory is frozen; a longer path is a new solve.
+    Beyond the series radius t0 the path rises from t0 to
+    Im t = config.elevation and runs along it to t_max + i elevation
+    (module docstring).  The trajectory is frozen; a longer path is a new
+    solve.
 
     With ``positions`` (path positions in [0, t_max]) it returns PathValues
-    instead: the log-integral at those positions and, on a lifted path, at
-    the lift ``heights`` between 0 and the elevation, read off the same
-    pieces as the trajectory's, with the same steps.
+    instead: the log-integral at those positions and at the lift
+    ``heights`` between 0 and the elevation, read off the same pieces as
+    the trajectory's, with the same steps.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     z = _as_zeta(zeta)
-    if elevation is None:
-        elevation = _default_elevation(z, config)
+    elevation = config.elevation
     ser = _Series(z, config)
     # sigma0 vanishes identically at zeta = 0: the series serves any t_max
     t0 = ser.radius(config) if z else t_max
     if positions is not None:
         positions = _checked(positions, t_max, "path positions")
-        if len(heights) and not (elevation and t_max > t0):
+        if len(heights) and not t_max > t0:
             raise ValueError("trajectory has no vertical segment")
         heights = _checked(heights, elevation, "lift heights")
     path = lift = None
@@ -521,16 +524,15 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
         eps = _truncation(config)
         state = tuple(complex(f(t0)) for f in (
             ser.sigma, ser.sigma_prime, ser.sigma_pp, ser.log_integral))
-        if elevation:
-            # one branch tracker for the whole integration: seeded by the
-            # series sigma'' at t0, carried up the lift t = t0 + i tau and
-            # on along the path
-            lift, state = _integrate(
-                lambda tau: complex(t0, tau), 1j, (0.0, elevation), state,
-                eps, True, "the vertical lift", t_star=t0)
+        # one branch tracker for the whole integration: seeded by the
+        # series sigma'' at t0, carried up the lift t = t0 + i tau and on
+        # along the path
+        lift, state = _integrate(
+            lambda tau: complex(t0, tau), 1j, (0.0, elevation), state, eps,
+            "the vertical lift", t_star=t0)
         path, _ = _integrate(
             lambda x: complex(x, elevation), 1.0, (t0, t_max), state, eps,
-            bool(elevation), f"the omega-path for zeta = {z}")
+            f"the path for zeta = {z}")
     traj = SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
                            _series=ser, _path=path, _lift=lift,
                            _config=config)
@@ -540,14 +542,6 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
         t_grid=traj.t_grid, log_integral=traj._eval(positions, -1),
         vertical_log_integral=np.empty(0, complex) if lift is None
         else lift(heights, -1))
-
-
-def _omega_of(z: complex) -> float | None:
-    """omega with zeta = 1 - e^{i omega}, if z lies on the circle."""
-    if abs(abs(1.0 - z) - 1.0) > 1e-9:
-        return None
-    w = np.angle(1.0 - z)
-    return abs(w) if abs(w) > 0 else 0.0
 
 
 def log_generating_function(zeta, lam: float,
@@ -568,8 +562,11 @@ def log_generating_function(zeta, lam: float,
 
 
 def dump_trajectory_csv(traj: SigmaTrajectory, path):
-    """Debug dump: t, Re sigma, Im sigma, Re log-integral, Im log-integral
-    at the accepted integration steps."""
+    """Debug dump at the accepted integration steps: the path position x
+    (column t: 0, then the end of every step), Re sigma, Im sigma,
+    Re log-integral and Im log-integral.  Beyond the series radius the
+    values are those at t = x + i elevation, on the path, not on the real
+    axis."""
     t = traj.t_grid
     sigma, logint = traj.eval_sigma(t), traj.eval_log_integral(t)
     rows = np.column_stack([t, sigma.real, sigma.imag, logint.real, logint.imag])

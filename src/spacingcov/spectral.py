@@ -10,9 +10,10 @@ determinant at interval length lam/2pi (the selectable "fredholm" backend).
 
 The integrand decays only algebraically, so the integral is split at
 lam = Lambda (TAIL_START).  The head [0, Lambda] is composite Gauss-Legendre
-quadrature of the trajectory (on a lifted path: up the vertical lift, then
-along Im t = elevation).  The tail is closed with the Fisher-Hartwig
-expansion of the sine-kernel determinant: with v = omega/2pi,
+quadrature of the trajectory: along the real axis to the series radius, up
+the vertical lift, then along Im t = elevation.  The tail is closed with
+the Fisher-Hartwig expansion of the sine-kernel determinant: with v =
+omega/2pi,
 
     exp L(t) = sum_j C_j t^{-2(v+j)^2} e^{i(v+j)t} (1 + sum_m c_jm t^{-m}),
 
@@ -147,24 +148,20 @@ def _panel_rule(breaks, config: SpectrumConfig):
 
 def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
     """(x, w, values, vertical, elevation): the head's quadrature rule x, w
-    on [0, x_max] and values = exp L at its path positions x, on
-    Im t = elevation beyond the handoff point where a lifted contour leaves
-    the real axis (exp L jumps there, so no panel straddles it); vertical
-    is the integral over the lift in between.  The solve reports L at
-    these nodes only."""
+    on [0, x_max] and values = exp L at its path positions x, on the real
+    axis up to the series radius t0 and on Im t = elevation beyond it (exp L
+    jumps at t0, so no panel straddles it); vertical is the integral over
+    the lift t = t0 + i tau in between.  The solve reports L at these nodes
+    only."""
     zeta = 1.0 - np.exp(1j * omega)
     t0, elevation = path_geometry(zeta, config.solver)
-    x, w = _panel_rule([0.0, t0 if elevation else 0.0, TAIL_START, x_max],
-                       config)
+    x, w = _panel_rule([0.0, t0, TAIL_START, x_max], config)
     gx, gw = leggauss(config.panel_nodes)
     # contour piece t = t0 + i tau, dt = i dtau
-    tau = 0.5 * elevation * (gx + 1.0) if elevation else ()
-    at = solve_sigma0(zeta, x_max, config.solver, elevation, positions=x,
-                      heights=tau)
-    vertical = 0j
-    if elevation:
-        vertical = 0.5 * elevation * np.sum(
-            gw * (1j * np.exp(at.vertical_log_integral)))
+    tau = 0.5 * elevation * (gx + 1.0)
+    at = solve_sigma0(zeta, x_max, config.solver, positions=x, heights=tau)
+    vertical = 0.5 * elevation * np.sum(
+        gw * (1j * np.exp(at.vertical_log_integral)))
     return x, w, np.exp(at.log_integral), vertical, elevation
 
 

@@ -97,10 +97,16 @@ class TestExactInversion:
 
 # delta I_k on the fixed composite rule of autocov._rule (32 Gauss-Legendre
 # nodes per sub-panel) on the default 16-node interpolant, as built with the
-# analytic spectral tail closure, the lifted path below the real axis and
-# the Taylor stepper
-PER_LAG_VALUES = {0: 0.17999387772131814, 20: -0.00012699691816766483,
+# analytic spectral tail closure, the Taylor stepper and one contour below
+# the real axis for every omega
+PER_LAG_VALUES = {0: 0.17999387772132372, 20: -0.00012699691816357538,
                   400: -3.1662567236380083e-07}
+
+# the same where omega <= 2.7 ran on the real axis with the untracked
+# third-order form; the values must agree to 1e-14
+AXIS_PATH_PER_LAG_VALUES = {0: 0.17999387772131814,
+                            20: -0.00012699691816766483,
+                            400: -3.1662567236380083e-07}
 
 # the same on the earlier rules sized by the largest lag (one Gauss-Legendre
 # rule per panel with 10 nodes per period of cos(omega k)), whose series and
@@ -154,6 +160,10 @@ class TestSeriesExact:
     def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
         assert abs(autocov_exact(k, spectrum_interpolant)
                    - PER_LAG_VALUES[k]) < 1e-15
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_per_lag_values_near_axis_path(self, k):
+        assert abs(PER_LAG_VALUES[k] - AXIS_PATH_PER_LAG_VALUES[k]) <= 1e-14
 
     @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
     def test_per_lag_values_near_sized_rule(self, k):

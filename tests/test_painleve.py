@@ -7,9 +7,9 @@ from numpy.polynomial.legendre import leggauss
 
 from spacingcov import painleve, spectral
 from spacingcov.fredholm import sine_kernel_det_auto
-from spacingcov.painleve import (BranchAmbiguityError, SpectralParameter,
-                                 log_generating_function, path_geometry,
-                                 series_sigma0, solve_sigma0)
+from spacingcov.painleve import (BranchAmbiguityError, SolverConfig,
+                                 SpectralParameter, log_generating_function,
+                                 path_geometry, series_sigma0, solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,16 +105,21 @@ class TestSolver:
         assert abs(traj.eval_sigma(t)[0] - ser) < 1e-10
 
     def test_real_zeta_stays_real_and_negative(self):
+        # on the real axis L is real and strictly decreasing, so that
+        # sigma = t L' < 0; the path itself runs below the axis
         for zeta in (0.3, 1.0):
             traj = solve_sigma0(zeta, 8.0)
-            vals = traj.eval_sigma(np.linspace(0.5, 8.0, 16))
-            assert np.max(np.abs(vals.imag)) < 1e-10
-            assert np.all(vals.real < 0)
+            L = np.array([traj.log_integral_real_axis(lam)
+                          for lam in np.linspace(0.5, 8.0, 16)])
+            assert np.max(np.abs(L.imag)) < 1e-10
+            assert np.all(np.diff(L.real) < 0)
 
     def test_conjugate_trajectories(self):
+        # the path of conj(zeta) runs at the mirror point of its own, so
+        # the two are compared on the real axis
         z = 1.0 - np.exp(1j * 0.7)
-        a = solve_sigma0(z, 6.0).eval_sigma([2.0, 5.0])
-        b = solve_sigma0(np.conj(z), 6.0).eval_sigma([2.0, 5.0])
+        a, b = ([traj.log_integral_real_axis(lam) for lam in (2.0, 5.0)]
+                for traj in (solve_sigma0(w, 6.0) for w in (z, np.conj(z))))
         assert np.allclose(np.conj(a), b, rtol=0, atol=1e-10)
 
     def test_residual_below_tolerance(self):
@@ -132,6 +137,19 @@ class TestSolver:
     def test_rejects_bad_t_max(self):
         with pytest.raises(ValueError):
             solve_sigma0(1.0, 0.0)
+
+    def test_config_rejects_bad_values(self):
+        # a zero elevation would put the path on the real axis, which meets
+        # the poles of sigma at omega close to pi; a bound <= 0 leaves the
+        # Taylor step undefined
+        for bad in ({"elevation": 0.0}, {"elevation": np.inf},
+                    {"elevation": np.nan}, {"rtol": 0.0}, {"rtol": -1e-12},
+                    {"atol": 0.0}, {"atol": -1e-13}, {"atol": np.nan}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
+        # either side of the axis is a valid contour
+        for elevation in (-2.0, 1.0):
+            assert SolverConfig(elevation=elevation).elevation == elevation
 
     def test_csv_dump(self, tmp_path):
         from spacingcov.painleve import dump_trajectory_csv
@@ -170,14 +188,12 @@ class TestSolver:
                     evaluate(bad)
             with pytest.raises(ValueError):
                 traj.eval_log_integral([1.0, bad])
-        if traj.elevation:
-            tau = np.array([0.0, 0.3, 0.7, 1.0]) * traj.elevation
-            assert np.array_equal(traj.vertical_log_integral(tau),
-                                  [traj._lift(np.array([v]), -1)[0]
-                                   for v in tau])
-            for bad in (1.5 * traj.elevation, -0.3 * traj.elevation):
-                with pytest.raises(ValueError):
-                    traj.vertical_log_integral(bad)
+        tau = np.array([0.0, 0.3, 0.7, 1.0]) * traj.elevation
+        assert np.array_equal(traj.vertical_log_integral(tau),
+                              [traj._lift(np.array([v]), -1)[0] for v in tau])
+        for bad in (1.5 * traj.elevation, -0.3 * traj.elevation):
+            with pytest.raises(ValueError):
+                traj.vertical_log_integral(bad)
 
     @pytest.mark.parametrize("omega", [2.8, np.pi])
     def test_lifted_descent_below_t_max(self, omega):
@@ -201,24 +217,16 @@ class TestSolver:
         t0, elevation = path_geometry(z)
         config = spectral.DEFAULT_SPECTRUM_CONFIG
         x, _ = spectral._panel_rule(
-            [0.0, t0 if elevation else 0.0, spectral.TAIL_START,
-             spectral.TAIL_START], config)
+            [0.0, t0, spectral.TAIL_START, spectral.TAIL_START], config)
         tau = 0.5 * elevation * (leggauss(config.panel_nodes)[0] + 1.0)
-        heights = tau if elevation else ()
         x = np.random.default_rng(1).permutation(x)
-        at = solve_sigma0(z, spectral.TAIL_START, positions=x,
-                          heights=heights)
+        at = solve_sigma0(z, spectral.TAIL_START, positions=x, heights=tau)
         traj = solve_sigma0(z, spectral.TAIL_START)
         assert traj.elevation == elevation
         assert np.array_equal(at.t_grid, traj.t_grid)
         assert np.array_equal(at.log_integral, traj.eval_log_integral(x))
-        if elevation:
-            assert np.array_equal(at.vertical_log_integral,
-                                  traj.vertical_log_integral(tau))
-        else:
-            assert at.vertical_log_integral.size == 0
-            with pytest.raises(ValueError):
-                solve_sigma0(z, 5.0, positions=[1.0], heights=[0.5])
+        assert np.array_equal(at.vertical_log_integral,
+                              traj.vertical_log_integral(tau))
 
     def test_node_positions_are_checked(self):
         z = 1.0 - np.exp(3.0j)
@@ -227,7 +235,9 @@ class TestSolver:
                                    ([1.0], [-2.5]), ([np.nan], ())):
             with pytest.raises(ValueError):
                 solve_sigma0(z, 5.0, positions=positions, heights=heights)
-        # inside the series radius no step is taken
+        # inside the series radius no step is taken, and there is no lift
+        with pytest.raises(ValueError):
+            solve_sigma0(z, 0.1, positions=[0.05], heights=[-1.0])
         at = solve_sigma0(z, 0.1, positions=[0.05, 0.1])
         assert np.array_equal(at.t_grid, [0.0])
         assert np.array_equal(at.log_integral,
@@ -235,11 +245,11 @@ class TestSolver:
 
     @pytest.mark.parametrize("omega", [0.3, 1.5, 2.6, 2.8, np.pi])
     def test_exp_l_matches_determinant_to_400(self, omega):
-        # the real axis up to omega = 2.7, the lifted path and its descents
-        # beyond; the worst seen was 7.1e-13 (omega = 2.6, lambda = 399)
+        # every omega takes the path at Im t = config.elevation and its
+        # descents; the worst seen was 9.8e-13 (omega = 1.5, lambda = 399)
         z = 1.0 - np.exp(1j * omega)
         traj = solve_sigma0(z, 400.0)
-        assert bool(traj.elevation) == (omega > 2.7)
+        assert traj.elevation == painleve.DEFAULT_CONFIG.elevation
         for lam in (5.0, 50.0, 200.0, 399.0):
             det = sine_kernel_det_auto(z, lam / TWO_PI)
             assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
@@ -266,7 +276,7 @@ class TestBranchChoice:
         # the next centre, where it points along one root, and the descents
         # match the Fredholm determinant beyond it
         z = 1.0 - np.exp(2.95j)
-        traj = solve_sigma0(z, 600.0, elevation=1.0)
+        traj = solve_sigma0(z, 600.0, SolverConfig(elevation=1.0))
         for lam in (505.0, 510.0, 550.0, 599.0):
             det = sine_kernel_det_auto(z, lam / TWO_PI)
             assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
@@ -326,6 +336,12 @@ class TestLogGeneratingFunction:
         L = log_generating_function(1.0, TWO_PI * 1.0)
         from spacingcov.fredholm import gap_probability
         assert abs(np.exp(L) - gap_probability(1.0)) < 1e-9
+        # zeta = 1 is off the circle and takes the same contour: its
+        # descents match the determinant (7e-16 seen)
+        traj = solve_sigma0(1.0, 30.0)
+        for lam in (0.5, 2.0, 5.0, 10.0, 20.0, 30.0):
+            det = sine_kernel_det_auto(1.0, lam / TWO_PI)
+            assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-12
 
     @pytest.mark.parametrize("omega", [np.pi / 8, np.pi / 4, np.pi / 2,
                                        3 * np.pi / 4, np.pi])

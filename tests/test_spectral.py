@@ -42,15 +42,25 @@ PANEL_EXTRAPOLATOR = {
 # (value, error) of power_spectrum with one BLAS thread, as float.hex, from
 # the route that read exp L off the whole trajectory; read at the
 # quadrature nodes only, the same Taylor pieces must give the same bits.
-# The lifted entries (omega > 2.7) are of the path at Im t = -2
+# Every entry is of the one contour: the lift at the series radius, then
+# the path at Im t = -2
 DENSE_ROUTE_BITS = {
+    0.05: ("0x1.04997ab233e80p-7", "0x1.31de7e18d385fp-40"),
+    0.3: ("0x1.81a55fc38c7c3p-5", "0x1.b698bcdeb5186p-40"),
+    1.0: ("0x1.26377ccda7575p-3", "0x1.2b85b6829fcfap-40"),
+    2.2: ("0x1.f99918ed236a8p-3", "0x1.3677ab76e3dd3p-38"),
+    2.75: ("0x1.114b2ee949300p-2", "0x1.06c484be23f89p-37"),
+    3.0: ("0x1.14fe7512b41a2p-2", "0x1.72e7b3d1e4b95p-37"),
+    np.pi: ("0x1.158cbf885b195p-2", "0x1.a1e73e6f37818p-37"),
+}
+
+# the same (value, error) where omega <= 2.7 ran on the real axis with the
+# untracked third-order form; the values must agree to 1e-13
+AXIS_PATH_BITS = {
     0.05: ("0x1.04997ab22f4a7p-7", "0x1.19295e8b1f209p-41"),
     0.3: ("0x1.81a55fc38c79bp-5", "0x1.373240ffb17c9p-40"),
     1.0: ("0x1.26377ccda7443p-3", "0x1.0416ba51d0d66p-37"),
     2.2: ("0x1.f99918ed236c1p-3", "0x1.1cb99b20bd835p-39"),
-    2.75: ("0x1.114b2ee949300p-2", "0x1.06c484be23f89p-37"),
-    3.0: ("0x1.14fe7512b41a2p-2", "0x1.72e7b3d1e4b95p-37"),
-    np.pi: ("0x1.158cbf885b195p-2", "0x1.a1e73e6f37818p-37"),
 }
 
 # the same (value, error) as scipy's DOP853 stepper gave them, before the
@@ -122,6 +132,13 @@ class TestPowerSpectrum:
         # literals; here the literals of both steppers are held together
         val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
         assert abs(val - float.fromhex(DOP853_ROUTE_BITS[omega][0])) <= 1e-12
+
+    @pytest.mark.parametrize("omega", sorted(AXIS_PATH_BITS))
+    def test_values_near_axis_path(self, omega):
+        # test_bits_match_dense_route ties the computed values to the
+        # literals; here the literals of both contours are held together
+        val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
+        assert abs(val - float.fromhex(AXIS_PATH_BITS[omega][0])) <= 1e-13
 
     @pytest.mark.parametrize("omega", sorted(UPPER_PATH_VALUES))
     def test_lifted_values_near_upper_path(self, omega):
