@@ -47,7 +47,8 @@ class DeterminantRequest:
 @lru_cache(maxsize=1024)
 def _nystrom_rule(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only: leggauss
-    costs an O(n^3) eigensolve, over half of a determinant at n = 241."""
+    costs an O(n^3) eigensolve, over half of a determinant at n = 241.
+    The spectral module's panels and lift share the 32-node rule."""
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -49,12 +49,13 @@ Off the circle the same contour serves: at zeta = 0.5 and 1 its descents
 match the Fredholm determinant to 9e-16 for lambda <= 39.  On the circle
 the worst |exp L - det| seen at lambda <= 399 is 9.8e-13
 (omega = 1.5, lambda = 399), and the worst error estimate of S over the
-96 interpolant nodes is 1.3e-11.
+96 interpolant nodes is 5.4e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -64,11 +65,13 @@ TWO_PI = 2.0 * np.pi
 # order of the Taylor steps: Jorba-Zou's optimal order -ln(eps)/2 + 1 at the
 # default per-step truncation eps = rtol * atol = 1e-25
 TAYLOR_ORDER = 30
-# smallest sigma'' branch margin accepted (see _select_spp).  Over the six
-# lifted nodes of the 96-node spectrum build the smallest margin seen was
-# 0.954 on the node-reading and on the dense solve (omega = 2.73,
-# t = 383.4 - 2i) and 0.971 on descents from lambda in [0.7, 399]; the
-# bound sits 9.5 times below that
+# smallest sigma'' branch margin accepted (see _select_spp).  A Taylor
+# piece carries sigma'' onto a root to within its truncation: over the
+# node-reading solves of the 96-node spectrum build (paths to t = 250 - 2i)
+# the smallest margin seen was 1 - 7e-16 (omega = 2.147, t = 196.6 - 2i),
+# and 1 - 6e-16 on descents from lambda in {0.7, 5, 50, 200, 249} at those
+# omegas.  The bound sits ten times below that; it catches a carried
+# sigma'' turned off both roots
 BRANCH_MARGIN = 0.1
 
 
@@ -149,15 +152,17 @@ def series_sigma0(zeta, order: int) -> np.ndarray:
     c_1 and c_2 are fixed by the boundary behaviour; every higher
     coefficient is determined by substituting the truncated series into the
     sigma equation and matching powers of t, where it enters linearly.
+    Returns a fresh, writable array.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    z = _as_zeta(zeta)
-    c = np.zeros(order + 1, dtype=complex)
-    if z == 0:
-        return c[1:]
-    c[1] = -z / TWO_PI
-    c[2] = -(z / TWO_PI) ** 2
+    return _series_coeffs(_as_zeta(zeta), order).copy()
+
+
+@lru_cache(maxsize=64)
+def _series_coeffs(z: complex, order: int) -> np.ndarray:
+    """series_sigma0 at a complex zeta, read-only: built once per (zeta,
+    order) and shared by the series radius and the solve."""
 
     def residual_coeff(coeffs, n):
         # coefficient of t^n of (t s'')^2 + f^2 + 4 f s'^2, f = t s' - s
@@ -170,12 +175,18 @@ def series_sigma0(zeta, order: int) -> np.ndarray:
         g = npoly.polyadd(g, 4.0 * npoly.polymul(f, npoly.polymul(sp, sp)))
         return g[n] if n < len(g) else 0.0
 
-    for n in range(3, order + 1):
-        r0 = residual_coeff(c, n)
-        c[n] = 1.0
-        r1 = residual_coeff(c, n)
-        c[n] = -r0 / (r1 - r0)
-    return c[1:]
+    c = np.zeros(order + 1, dtype=complex)
+    if z != 0:
+        c[1] = -z / TWO_PI
+        c[2] = -(z / TWO_PI) ** 2
+        for n in range(3, order + 1):
+            r0 = residual_coeff(c, n)
+            c[n] = 1.0
+            r1 = residual_coeff(c, n)
+            c[n] = -r0 / (r1 - r0)
+    c = c[1:]
+    c.flags.writeable = False
+    return c
 
 
 class _Series:
@@ -184,7 +195,7 @@ class _Series:
     def __init__(self, zeta: complex, config: SolverConfig):
         self.zeta = zeta
         self.order = config.series_order
-        self.coeffs = series_sigma0(zeta, self.order)  # c_1..c_order
+        self.coeffs = _series_coeffs(zeta, self.order)  # c_1..c_order
 
     def radius(self, config: SolverConfig) -> float:
         """Largest t0 at which the last term is negligible vs the sum."""

@@ -98,9 +98,15 @@ class TestExactInversion:
 # delta I_k on the fixed composite rule of autocov._rule (32 Gauss-Legendre
 # nodes per sub-panel) on the default 16-node interpolant, as built with the
 # analytic spectral tail closure, the Taylor stepper and one contour below
-# the real axis for every omega
-PER_LAG_VALUES = {0: 0.17999387772132372, 20: -0.00012699691816357538,
+# the real axis for every omega, the path ending at Lambda = 250
+PER_LAG_VALUES = {0: 0.1799938777213213, 20: -0.00012699691816479847,
                   400: -3.1662567236380083e-07}
+
+# the same with the path run on to Lambda = 400 and the fifth-order tail
+# closure; the values must agree to 1e-14
+LONG_PATH_PER_LAG_VALUES = {0: 0.17999387772132372,
+                            20: -0.00012699691816357538,
+                            400: -3.1662567236380083e-07}
 
 # the same where omega <= 2.7 ran on the real axis with the untracked
 # third-order form; the values must agree to 1e-14
@@ -160,6 +166,10 @@ class TestSeriesExact:
     def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
         assert abs(autocov_exact(k, spectrum_interpolant)
                    - PER_LAG_VALUES[k]) < 1e-15
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_per_lag_values_near_long_path(self, k):
+        assert abs(PER_LAG_VALUES[k] - LONG_PATH_PER_LAG_VALUES[k]) <= 1e-14
 
     @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
     def test_per_lag_values_near_axis_path(self, k):

@@ -71,6 +71,17 @@ class TestSeries:
         r0, r1 = residual_t3(0.0), residual_t3(1.0)
         assert abs(c[2] - (-r0 / (r1 - r0))) < 1e-14
 
+    def test_cached_series_is_read_only(self):
+        z = 1.0 - np.exp(0.7j)
+        cached = painleve._series_coeffs(z, 8)
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+        c = series_sigma0(z, 8)
+        assert np.array_equal(c, cached)
+        c[0] = 0.0                              # a fresh, writable copy
+        assert cached[0] != 0.0
+        assert painleve._series_coeffs(z, 8) is cached
+
     @given(st.floats(min_value=0.05, max_value=np.pi))
     @settings(max_examples=20, deadline=None)
     def test_conjugation_symmetry_of_series(self, omega):

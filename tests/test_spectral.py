@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from spacingcov import spectral
+from spacingcov import fredholm, painleve, spectral
 from spacingcov.painleve import SolverConfig
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
                                  SpectrumInterpolant, eig_spectrum_from_sp,
@@ -42,9 +43,22 @@ PANEL_EXTRAPOLATOR = {
 # (value, error) of power_spectrum with one BLAS thread, as float.hex, from
 # the route that read exp L off the whole trajectory; read at the
 # quadrature nodes only, the same Taylor pieces must give the same bits.
-# Every entry is of the one contour: the lift at the series radius, then
-# the path at Im t = -2
+# Every entry is of the one contour (the lift at the series radius, then
+# the path at Im t = -2) with the path ending at Lambda = 250 and the
+# sixth-order Fisher-Hartwig closure fitted on [90, 250]
 DENSE_ROUTE_BITS = {
+    0.05: ("0x1.04997ab231993p-7", "0x1.add13cd19d00dp-41"),
+    0.3: ("0x1.81a55fc38da11p-5", "0x1.9aede20fdf217p-39"),
+    1.0: ("0x1.26377ccda72e9p-3", "0x1.8c9becd5c6561p-39"),
+    2.2: ("0x1.f99918ed2361cp-3", "0x1.202f485ebbed7p-40"),
+    2.75: ("0x1.114b2ee94920ap-2", "0x1.921e9b536dd76p-39"),
+    3.0: ("0x1.14fe7512b40f8p-2", "0x1.01489083f08c2p-38"),
+    np.pi: ("0x1.158cbf885b1a7p-2", "0x1.7e7fb656cebe6p-38"),
+}
+
+# the same (value, error) with the path run on to Lambda = 400 and the
+# fifth-order closure fitted on [150, 400]; the values must agree to 1e-13
+LONG_PATH_BITS = {
     0.05: ("0x1.04997ab233e80p-7", "0x1.31de7e18d385fp-40"),
     0.3: ("0x1.81a55fc38c7c3p-5", "0x1.b698bcdeb5186p-40"),
     1.0: ("0x1.26377ccda7575p-3", "0x1.2b85b6829fcfap-40"),
@@ -133,6 +147,24 @@ class TestPowerSpectrum:
         val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
         assert abs(val - float.fromhex(DOP853_ROUTE_BITS[omega][0])) <= 1e-12
 
+    @pytest.mark.parametrize("omega", sorted(LONG_PATH_BITS))
+    def test_values_near_long_path(self, omega):
+        # test_bits_match_dense_route ties the computed values to the
+        # literals; here the literals of both closures are held together
+        val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
+        assert abs(val - float.fromhex(LONG_PATH_BITS[omega][0])) <= 1e-13
+
+    @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 2.2, 3.0, np.pi])
+    def test_closure_matches_long_path_closure(self, omega, monkeypatch):
+        # the same trajectory run on to Lambda = 400, its tail fitted to
+        # fifth order on [150, 400], is the oracle for the default closure
+        val, err = power_spectrum(omega)
+        monkeypatch.setattr(spectral, "TAIL_START", 400.0)
+        monkeypatch.setattr(spectral, "FIT_WINDOW", (150.0, 400.0))
+        monkeypatch.setattr(spectral, "FIT_ORDER", 5)
+        long_val, long_err = power_spectrum(omega)
+        assert abs(val - long_val) <= min(1e-13, err + long_err)
+
     @pytest.mark.parametrize("omega", sorted(AXIS_PATH_BITS))
     def test_values_near_axis_path(self, omega):
         # test_bits_match_dense_route ties the computed values to the
@@ -193,6 +225,37 @@ def _spy_tail(monkeypatch):
     return fits
 
 
+class TestBuiltOncePerOmega:
+    def test_series_built_once(self, monkeypatch):
+        # the series radius and the solve share one sigma0 series
+        builds = []
+        build = painleve._series_coeffs.__wrapped__
+
+        def recording(z, order):
+            builds.append((z, order))
+            return build(z, order)
+        monkeypatch.setattr(painleve, "_series_coeffs",
+                            lru_cache(maxsize=64)(recording))
+        power_spectrum(0.7)
+        assert builds == [(1.0 - np.exp(0.7j), SolverConfig().series_order)]
+
+    def test_rule_built_once(self, monkeypatch):
+        # the head's panels and the lift share one Gauss-Legendre rule,
+        # which later omegas reuse
+        sizes = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def recording(n):
+            sizes.append(n)
+            return leggauss(n)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+        monkeypatch.setattr(spectral, "_nystrom_rule", lru_cache(maxsize=8)(
+            fredholm._nystrom_rule.__wrapped__))
+        power_spectrum(0.7)
+        power_spectrum(2.9)
+        assert sizes == [spectral.DEFAULT_SPECTRUM_CONFIG.panel_nodes]
+
+
 class TestTailClosure:
     def test_g_product_at_one_half(self):
         g_half = (2.0 ** (1 / 24) * np.exp(1 / 8) * np.pi ** -0.25
@@ -232,7 +295,7 @@ class TestTailClosure:
 
     def test_bad_fit_raises(self, monkeypatch):
         # without the t^-m corrections the lifted-path fit at omega = 2.95
-        # is visibly off (misfit 6e-4, C_0 off by 2e-3): no value may come
+        # is visibly off (misfit 8e-4, C_0 off by 2.8e-3): no value may come
         # back.
         monkeypatch.setattr(spectral, "FIT_ORDER", 1)
         with pytest.raises(spectral.TruncationError):
