@@ -6,17 +6,18 @@ unfold each position by its ensemble-mean spacing Delta_l, average the
 lagged products within each sample (running energy average) and then over
 samples, and attach 99% confidence intervals from the sample variance.
 
-The run is streamed in deterministic chunks: each chunk keeps only fixed
-sums (spacing first moments, the full spacing cross-moment matrix, and
-per-lag product second moments), from which the exact two-pass statistics
--- including Delta_l from all M samples -- are reconstructed at the end.
+The run is streamed in deterministic chunks.  A chunk returns only its raw
+spacings; the caller folds them, in chunk-index order, into fixed sums
+(spacing first moments, the full spacing cross-moment matrix, and per-lag
+product second moments), from which the exact two-pass statistics --
+including Delta_l from all M samples -- are reconstructed at the end.
 Chunk RNG streams are spawned from one seed, so results are bit-identical
 for a given config whatever the number of worker threads, at a fixed BLAS
-thread count: the cross-moment sums are BLAS products whose summation
-order follows that count (about 1 ulp apart between 1 and 2 OpenBLAS
-threads).  A checkpoint of the partial sums makes runs resumable; it is
-keyed by the config, this module's code and the numpy and scipy versions,
-and a file of any other key is refused.
+thread count: the cross-moment sums are BLAS products, formed in the
+folding thread, whose summation order follows that count (about 1 ulp
+apart between 1 and 2 OpenBLAS threads).  A checkpoint of the sums makes
+runs resumable; it is keyed by the config, this module's code and the
+numpy and scipy versions, and a file of any other key is refused.
 
 Samplers: dense QR of a complex Ginibre matrix with the phase correction,
 and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
@@ -72,6 +73,8 @@ class MCConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.lead < 0:
+            raise ValueError("lead must be >= 0")
 
     @property
     def n_chunks(self) -> int:
@@ -144,10 +147,20 @@ def _szego_phase(alpha: np.ndarray, theta: np.ndarray):
     # step n reads column n of each as a contiguous (B, 1) block
     conj_a = np.ascontiguousarray(a.conj().T[:, :, None])
     rho2 = np.ascontiguousarray(rho2.T[:, :, None])
+    # each step runs in preallocated buffers, in the operation order of
+    #   p = w u;  u = p - a_n conj(p);  cd = cd r_n + (Re(u)^2 + Im(u)^2)
+    p, q = np.empty_like(w), np.empty_like(w)
+    re2, im2 = np.empty(theta.shape), np.empty(theta.shape)
     for a_n, r_n in zip(conj_a, rho2):
-        p = w * u
-        u = p - a_n * p.conj()
-        cd = cd * r_n + (u.real ** 2 + u.imag ** 2)
+        np.multiply(w, u, out=p)
+        np.conjugate(p, out=q)
+        np.multiply(a_n, q, out=q)
+        np.subtract(p, q, out=u)
+        np.multiply(cd, r_n, out=cd)
+        np.square(u.real, out=re2)
+        np.square(u.imag, out=im2)
+        np.add(re2, im2, out=re2)
+        np.add(cd, re2, out=cd)
     F = np.angle(alpha[:, -1:] * (w * u) ** 2)
     return F, cd / (u.real ** 2 + u.imag ** 2)
 
@@ -312,26 +325,24 @@ class _Accumulators:
             np.zeros((config.n_chunks, L, L)))
 
 
-def _chunk_partials(config: MCConfig, c: int, child_seed):
+def _chunk_partials(config: MCConfig, c: int, child_seed) -> np.ndarray:
+    """Raw spacings R of chunk c, shape (hi - lo, N - 1)."""
     rng = np.random.Generator(np.random.Philox(child_seed))
     lo, hi = config.chunk_bounds(c)
-    R = np.diff(_SAMPLERS[config.sampler](config.N, hi - lo, rng), axis=1)
-    L = min(config.lead, config.N - 1)
-    prod_sq = []
-    for k in range(config.k_max + 1):
-        n_k = config.N - 1 - k
-        P = R[:, :n_k] * R[:, k:]
-        prod_sq.append(P.T @ P)
-    return R.sum(axis=0), R.T @ R, prod_sq, R[:, :L].T @ R[:, :L]
+    return np.diff(_SAMPLERS[config.sampler](config.N, hi - lo, rng), axis=1)
 
 
-def _fold(acc: _Accumulators, c: int, partials):
-    sum_s, cross, prod_sq, lead_cross = partials
-    acc.sum_s += sum_s
-    acc.cross += cross
-    for k, m in enumerate(prod_sq):
-        acc.prod_sq[k] += m
-    acc.chunk_lead_cross[c] = lead_cross
+def _fold(acc: _Accumulators, c: int, R: np.ndarray):
+    """Add chunk c's spacings R to the sums, each product straight into its
+    accumulator, so no partial sum of the chunk is held beside them."""
+    n = R.shape[1]
+    L = acc.chunk_lead_cross.shape[1]
+    acc.sum_s += R.sum(axis=0)
+    acc.cross += R.T @ R
+    for k, m in enumerate(acc.prod_sq):
+        P = R[:, :n - k] * R[:, k:]
+        m += P.T @ P
+    acc.chunk_lead_cross[c] = R[:, :L].T @ R[:, :L]
     acc.next_chunk = c + 1
 
 
@@ -389,9 +400,9 @@ def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
     children = np.random.SeedSequence(config.seed).spawn(config.n_chunks)
     todo = range(acc.next_chunk, config.n_chunks)
     # fold in index order: thread-count invariant
-    for c, partials in _chunk_results(config, todo, children, threads):
-        _fold(acc, c, partials)
-        del partials        # free it before the next chunk is computed
+    for c, R in _chunk_results(config, todo, children, threads):
+        _fold(acc, c, R)
+        del R               # free it before the next chunk is computed
         if checkpoint_path and (c + 1) % checkpoint_every == 0:
             _save_checkpoint(checkpoint_path, config, acc)
     if checkpoint_path:
@@ -400,11 +411,12 @@ def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
 
 
 def _chunk_results(config: MCConfig, todo, children, threads: int):
-    """(c, partials) for every chunk c in todo, in index order.
+    """(c, R) for every chunk c in todo, R its raw spacings, in index order.
 
-    One thread computes each chunk in the caller's thread.  More threads
+    One thread samples each chunk in the caller's thread.  More threads
     share a pool that holds at most 2 x threads chunks submitted and not
-    yet folded, so memory does not grow with M.
+    yet folded, so at most 2 x threads spacing arrays of (chunk_size, N - 1)
+    are in flight and memory does not grow with M.
     """
     if threads <= 1:
         for c in todo:

@@ -64,9 +64,7 @@ TWO_PI = 2.0 * np.pi
 # analytic tail closure (see the module docstring).  The sixth-order fit
 # lets the path stop at 250: the 96 interpolant nodes stay within 1.6e-13
 # of a fifth-order fit on a path to 400, and their worst error estimate is
-# 5.4e-12.  Below omega ~ 0.015, under the default omega_min, the estimate
-# understates the error: at omega = 0.01 it reads 7.9e-12 against a
-# deviation of 1.2e-11
+# 5.4e-12
 TAIL_START = 250.0             # Lambda: quadrature on [0, Lambda], model beyond
 FIT_WINDOW = (90.0, 250.0)     # path positions whose values fix the amplitudes
 FIT_ORDER = 6                  # corrections lam^{-m}, m < 6: 30 amplitudes
@@ -74,6 +72,13 @@ FIT_SHIFTS = np.arange(-2, 3)  # Fisher-Hartwig representations v + j
 LAGUERRE_NODES = 80            # Gauss-Laguerre nodes per rotated ray
 FIT_RESIDUAL_TOL = 1e-8        # relative rms misfit on the window
 C0_RTOL = 1e-6                 # fitted C_0 against [G(1+v) G(1-v)]^2
+# below this omega the closure's error estimate understates its error, so
+# the exact route raises (reachable only with omega_min below it).  Deviation
+# from the closed form plus -1.59e-3 omega^4 against the reported error,
+# with omega_min = 1e-4 and one BLAS thread:
+#   omega = 0.002: 2.3e-9 against 4.7e-11;  0.005: 9.6e-10 against 7.7e-12;
+#   omega = 0.01: 1.2e-11 against 7.9e-12;  0.015: 1.6e-12 against 7.3e-12
+TAIL_OMEGA_MIN = 0.015
 
 # the modules whose code computes S(omega); spectrum.npz is keyed by them
 _SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
@@ -226,13 +231,19 @@ def power_spectrum(omega: float,
 
     Below config.omega_min the certified closed small-omega form is
     returned with its remainder bound as the error.  The error estimate is
-    described in the module docstring.
+    described in the module docstring.  At or above omega_min but below
+    TAIL_OMEGA_MIN the estimate cannot be trusted and TruncationError is
+    raised.
     """
     if not (0.0 < omega <= np.pi + 1e-12):
         raise ValueError(f"omega must lie in (0, pi], got {omega}")
     omega = min(omega, np.pi)
     if omega < config.omega_min:
         return power_spectrum_small_omega(omega), 5.0 * omega ** 4
+    if omega < TAIL_OMEGA_MIN:
+        raise TruncationError(
+            f"the tail closure's error estimate cannot be trusted below "
+            f"omega = {TAIL_OMEGA_MIN}, got {omega}")
     lo, hi = FIT_WINDOW
     end = max(TAIL_START, hi)
     path = _painleve_path if config.backend == "painleve" else _fredholm_path

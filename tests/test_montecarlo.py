@@ -2,6 +2,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -34,6 +35,8 @@ class TestConfig:
             MCConfig(N=16, k_max=15)
         with pytest.raises(ValueError):
             MCConfig(sampler="dense")
+        with pytest.raises(ValueError, match="lead"):
+            MCConfig(lead=-3)
 
 
 class TestSampling:
@@ -161,6 +164,27 @@ class TestSparseCMVDecoder:
         fd = (4.0 * central(0.5 * h) - central(h)) / 3.0
         assert np.all(slope >= 1.0)
         assert np.max(np.abs(fd / slope - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("N, count", [(256, 32), (17, 5)])
+    def test_phase_matches_allocating_form(self, N, count):
+        # the buffered recursion against the same steps on fresh arrays,
+        # bit for bit
+        alpha, _ = self._block(N, count, seed=8)
+        theta = _rng(9).uniform(-np.pi, np.pi, (count, 2 * N))
+        w = np.exp(0.5j * theta)
+        u = np.ones_like(w)
+        cd = np.ones(theta.shape)
+        for n in range(N - 1):
+            a_n = alpha[:, n:n + 1]
+            p = w * u
+            u = p - a_n.conj() * p.conj()
+            cd = (cd * (1.0 - (a_n.real ** 2 + a_n.imag ** 2))
+                  + (u.real ** 2 + u.imag ** 2))
+        F = np.angle(alpha[:, -1:] * (w * u) ** 2)
+        slope = cd / (u.real ** 2 + u.imag ** 2)
+        got_F, got_slope = mc._szego_phase(alpha, theta)
+        assert np.array_equal(got_F, F)
+        assert np.array_equal(got_slope, slope)
 
     @pytest.mark.parametrize("sampler", ["sparse_cmv", "qr_haar"])
     def test_batch_matches_sequential_samples(self, sampler):
@@ -341,6 +365,66 @@ class TestStreamingRun:
         serial = mc.run(cfg, threads=1)
         assert np.array_equal(bounded.estimate.values, serial.estimate.values)
         assert np.array_equal(bounded.cov, serial.cov)
+
+    def test_chunk_returns_its_spacings(self):
+        # 90 samples in chunks of 40: the last chunk holds 10
+        cfg = MCConfig(N=24, M=90, seed=4, k_max=3, chunk_size=40, lead=10)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
+        for c in range(cfg.n_chunks):
+            lo, hi = cfg.chunk_bounds(c)
+            R = mc._chunk_partials(cfg, c, children[c])
+            assert R.dtype == np.float64
+            assert R.shape == (hi - lo, cfg.N - 1)
+            rng = np.random.Generator(np.random.Philox(children[c]))
+            ang = CueBatch.generate(cfg.N, hi - lo, rng, cfg.sampler)
+            assert np.array_equal(R, ang.raw_spacings)
+
+    def test_fold_matches_per_chunk_sums(self):
+        # each fold adds what the per-chunk sums, formed apart, would add
+        cfg = MCConfig(N=24, M=90, seed=4, k_max=5, chunk_size=40, lead=10)
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
+        acc = mc._Accumulators.fresh(cfg)
+        ref = mc._Accumulators.fresh(cfg)
+        for c in range(cfg.n_chunks):
+            R = mc._chunk_partials(cfg, c, children[c])
+            mc._fold(acc, c, R)
+            sum_s, cross = R.sum(axis=0), R.T @ R
+            prod_sq = []
+            for k in range(cfg.k_max + 1):
+                P = R[:, :cfg.N - 1 - k] * R[:, k:]
+                prod_sq.append(P.T @ P)
+            ref.sum_s += sum_s
+            ref.cross += cross
+            for k, m in enumerate(prod_sq):
+                ref.prod_sq[k] += m
+            ref.chunk_lead_cross[c] = R[:, :cfg.lead].T @ R[:, :cfg.lead]
+            assert acc.next_chunk == c + 1
+            assert np.array_equal(acc.sum_s, ref.sum_s)
+            assert np.array_equal(acc.cross, ref.cross)
+            for k in range(cfg.k_max + 1):
+                assert np.array_equal(acc.prod_sq[k], ref.prod_sq[k])
+            assert np.array_equal(acc.chunk_lead_cross, ref.chunk_lead_cross)
+
+    def test_traced_peak_near_accumulators(self):
+        # a chunk in flight holds (chunk_size, N - 1) spacings, not dense
+        # sums: the traced peak of a threaded run stays within six dense
+        # (N - 1)^2 arrays of the accumulators (the fold's product and
+        # finalize's cov, outer(delta, delta) and temporaries).  A chunk that
+        # held its 14 dense sums would exceed it with one chunk in flight
+        cfg = MCConfig(N=256, M=96, seed=3, k_max=12, chunk_size=8)
+        acc = mc._Accumulators.fresh(cfg)
+        held = (acc.sum_s.nbytes + acc.cross.nbytes + acc.chunk_lead_cross.nbytes
+                + sum(m.nbytes for m in acc.prod_sq))
+        margin = 6 * acc.cross.nbytes
+        del acc
+        mc.run(cfg, threads=2)          # load code and caches untraced
+        tracemalloc.start()
+        try:
+            mc.run(cfg, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held + margin
 
     def test_checkpoint_resume_equivalence(self, tmp_path):
         cfg = MCConfig(N=24, M=800, seed=10, k_max=3, chunk_size=200, lead=12)

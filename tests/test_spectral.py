@@ -118,6 +118,21 @@ class TestPowerSpectrum:
         assert val == power_spectrum_small_omega(0.02)
         assert err > 0
 
+    @pytest.mark.parametrize("backend", ["painleve", "fredholm"])
+    @pytest.mark.parametrize("omega", [0.002, 0.005, 0.01])
+    def test_untrusted_small_omega_raises(self, omega, backend):
+        # the tail closure understates its error there (see TAIL_OMEGA_MIN)
+        config = SpectrumConfig(backend=backend, omega_min=1e-4)
+        with pytest.raises(spectral.TruncationError):
+            power_spectrum(omega, config)
+
+    @pytest.mark.parametrize("omega", [0.015, 0.02])
+    def test_trusted_small_omega_returns(self, omega):
+        val, err = power_spectrum(omega, SpectrumConfig(omega_min=1e-4))
+        # the closed form lacks a term near -1.6e-3 omega^4
+        assert abs(val - power_spectrum_small_omega(omega)) < 3e-3 * omega ** 4
+        assert err < 1e-10
+
     @pytest.mark.parametrize("omega", sorted(PANEL_EXTRAPOLATOR))
     def test_matches_panel_extrapolator(self, omega):
         val, _ = power_spectrum(omega)
