@@ -16,7 +16,8 @@ import os
 
 from spacingcov import montecarlo as mc
 from spacingcov.autocov import (autocov_asymptotic, autocov_dyson,
-                                autocov_exact, build_spectrum_interpolant)
+                                autocov_series_exact,
+                                build_spectrum_interpolant)
 
 
 def main():
@@ -33,12 +34,13 @@ def main():
     resume = bool(args.checkpoint) and os.path.exists(args.checkpoint)
     result = mc.run(cfg, checkpoint_path=args.checkpoint, resume=resume)
     est = result.estimate
+    exact = autocov_series_exact(args.k_max, interp).values
 
     print(f"{'k':>3} {'mc':>13} {'+-':>9} {'exact':>13} {'dyson':>13} "
           f"{'refined':>13}")
     for k in range(1, args.k_max + 1):
         print(f"{k:3d} {est.values[k]:13.6e} {est.half_widths[k]:9.1e} "
-              f"{autocov_exact(k, interp):13.6e} {autocov_dyson(k):13.6e} "
+              f"{exact[k]:13.6e} {autocov_dyson(k):13.6e} "
               f"{autocov_asymptotic(k):13.6e}")
 
 

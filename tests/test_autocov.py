@@ -28,9 +28,11 @@ class TestClosedForms:
             1.0, abs=1e-4)
 
     def test_rejects_k_zero(self):
-        for fn in (autocov_dyson, autocov_asymptotic, autocov_asymptotic_ci):
-            with pytest.raises(ValueError):
-                fn(0)
+        for fn in (autocov_dyson, autocov_asymptotic, autocov_asymptotic_ci,
+                   dyson_tail_estimate):
+            for k in (0, -1):
+                with pytest.raises(ValueError):
+                    fn(k)
 
     def test_cosine_integral_against_quadrature(self):
         # Ci(pi) = -int_pi^inf cos(t)/t dt
@@ -127,9 +129,14 @@ DOP853_PER_LAG_VALUES = {0: 0.1799938777213375, 20: -0.0001269969181651397,
                          400: -3.1662567397775287e-07}
 
 
+def rule_nodes(spectrum):
+    """Nodes and weights of autocov._rule, all intervals concatenated."""
+    return tuple(np.concatenate(a) for a in zip(*autocov._rule(spectrum)))
+
+
 class TestSeriesExact:
     def test_series_matches_single_lags(self, spectrum_interpolant):
-        # one rule for every lag: only the matrix-vector product's rounding
+        # one rule for every lag: only the matrix product's rounding
         # separates a series from single lags
         series = autocov_series_exact(50, spectrum_interpolant)
         for k in range(51):
@@ -143,6 +150,61 @@ class TestSeriesExact:
         with pytest.raises(ValueError, match="resolution guard"):
             autocov_series_exact(401, spectrum_interpolant)
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda s: autocov_series_exact(-1, s), "must be >= 0"),
+        (lambda s: autocov_exact(-3, s), "must be >= 0"),
+        (lambda s: autocov._fourier_inversion([], s), "no lags"),
+        (lambda s: autocov_exact(2.5, s), "integers"),
+        (lambda s: autocov_exact(np.nan, s), "integers"),
+        (lambda s: autocov_series_exact(2.5, s), "integers"),
+        (lambda s: autocov._fourier_inversion([1, 2.5], s), "integers")],
+        ids=["series-negative", "negative", "empty", "fraction", "nan",
+             "series-fraction", "fraction-in-set"])
+    def test_bad_lags_rejected_before_any_rule(self, spectrum_interpolant,
+                                               monkeypatch, call, match):
+        def no_rule(n):
+            raise AssertionError("quadrature rule built before the check")
+        monkeypatch.setattr(autocov, "leggauss", no_rule)
+        with pytest.raises(ValueError, match=match):
+            call(spectrum_interpolant)
+
+    def test_integral_float_lag_accepted(self, spectrum_interpolant):
+        assert (autocov_exact(2.0, spectrum_interpolant)
+                == autocov_exact(2, spectrum_interpolant))
+
+    def test_matches_direct_cosine_sums(self, spectrum_interpolant):
+        # the reference: one cosine per lag and node on the same rule
+        x, w = rule_nodes(spectrum_interpolant)
+        v = w * spectrum_interpolant(x)
+        series = autocov_series_exact(autocov.K_CAP, spectrum_interpolant)
+        for k in range(autocov.K_CAP + 1):
+            direct = v @ np.cos(k * x) / np.pi
+            assert abs(series.values[k] - direct) < 2e-15, k
+
+    def test_lag_sets_match_series(self, spectrum_interpolant):
+        series = autocov_series_exact(autocov.K_CAP,
+                                      spectrum_interpolant).values
+        rng = np.random.default_rng(16)
+        for ks in (rng.permutation(autocov.K_CAP + 1),
+                   [400, 3, 3, 0, 400, 21, 20, 42, 3],
+                   rng.integers(0, autocov.K_CAP + 1, 60)):
+            got = autocov._fourier_inversion(ks, spectrum_interpolant)
+            assert np.all(np.abs(got - series[ks]) <= 1e-16), ks
+
+    def test_one_spectrum_call_per_inversion(self, spectrum_interpolant):
+        calls = []
+
+        class Counting:
+            edges = spectrum_interpolant.edges
+
+            def __call__(self, omega):
+                calls.append(omega.size)
+                return spectrum_interpolant(omega)
+
+        autocov_series_exact(autocov.K_CAP, Counting())
+        autocov_exact(7, Counting())
+        assert calls == [rule_nodes(spectrum_interpolant)[0].size] * 2
+
     def test_no_large_rule(self, spectrum_interpolant, monkeypatch):
         sizes = []
 
@@ -155,8 +217,7 @@ class TestSeriesExact:
 
     @pytest.mark.parametrize("k_max, tol", [(50, 2e-15), (autocov.K_CAP, 2e-14)])
     def test_rule_integrates_cosines(self, spectrum_interpolant, k_max, tol):
-        rule = autocov._rule(spectrum_interpolant)
-        x, w = (np.concatenate(a) for a in zip(*rule))
+        x, w = rule_nodes(spectrum_interpolant)
         assert x.min() > 0.0 and x.max() < np.pi
         for k in range(k_max + 1):
             exact = np.pi if k == 0 else 0.0
