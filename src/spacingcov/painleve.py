@@ -15,15 +15,18 @@ logarithm of a sine-kernel Fredholm determinant; its exponential is the
 integrand of the spacing power spectrum.
 
 Integration strategy: a truncated power series on [0, t0], then Taylor
-steps of fixed order 30 (Jorba-Zou, Exp. Math. 14, 2005).  The sigma
-equation is polynomial in (t, s, s', s''), so at each step centre the
-Taylor coefficients of sigma follow from its differentiated third-order
+steps of fixed order TAYLOR_ORDER = 38 (Jorba-Zou, Exp. Math. 14, 2005).
+The sigma equation is polynomial in (t, s, s', s''), so at each step centre
+the Taylor coefficients of sigma follow from its differentiated third-order
 form by a short recurrence, and those of the log-integral L from L' = s/t.
 The step is the longest at which the last two terms of sigma and of L stay
-below rtol * atol.  The trajectory is the list of these polynomial pieces;
-values are read from them by Horner evaluation, so where values are asked
-for does not move a step.  t is complex, so one stepper with a complex
-direction serves the lift, the path and the descent.
+below SolverConfig.truncation, 1e-19 by default: more than three orders
+below the float64 rounding of the state, |sigma| being about 2 at
+omega = 0.05 and 120 at omega = pi at t = 250.  The trajectory is the
+list of these polynomial pieces; values are read from them by Horner
+evaluation, so where values are asked for does not move a step.  t is
+complex, so one stepper with a complex direction serves the lift, the path
+and the descent.
 
 One contour serves every zeta != 0.  From the series radius t0 it rises
 vertically to Im t = delta (the lift t = t0 + i tau), runs along
@@ -46,10 +49,10 @@ smaller omega.  So a path on or above the axis can run among the poles of
 sigma, where the steps shrink to the distance from the nearest pole.
 Below the axis the term e^{ivt} dominates and no zero lies near the path.
 Off the circle the same contour serves: at zeta = 0.5 and 1 its descents
-match the Fredholm determinant to 9e-16 for lambda <= 39.  On the circle
-the worst |exp L - det| seen at lambda <= 399 is 9.8e-13
+match the Fredholm determinant to 1.2e-15 for lambda <= 39.  On the circle
+the worst |exp L - det| seen at lambda <= 399 is 9.6e-13
 (omega = 1.5, lambda = 399), and the worst error estimate of S over the
-96 interpolant nodes is 5.4e-12.
+96 interpolant nodes is 5.1e-12.
 """
 
 from __future__ import annotations
@@ -59,18 +62,22 @@ from functools import lru_cache
 from operator import mul
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 TWO_PI = 2.0 * np.pi
-# order of the Taylor steps: Jorba-Zou's optimal order -ln(eps)/2 + 1 at the
-# default per-step truncation eps = rtol * atol = 1e-25
-TAYLOR_ORDER = 30
+# order of the Taylor steps.  It and the default truncation come from a
+# measured sweep (orders 30, 34, 38 against truncations 1e-21, 1e-20,
+# 1e-19): of the pairs that moved no pinned value of S or delta I_k beyond
+# its bound, order 38 at 1e-19 took the least thread time.  In Python the
+# fixed cost of a step (branch choice, step size, state) outweighs the K^2
+# of the recurrence, so a higher order than Jorba-Zou's K^2-cost optimum,
+# -ln(eps)/2 + 1 = 23, wins
+TAYLOR_ORDER = 38
 # smallest sigma'' branch margin accepted (see _select_spp).  A Taylor
 # piece carries sigma'' onto a root to within its truncation: over the
 # node-reading solves of the 96-node spectrum build (paths to t = 250 - 2i)
-# the smallest margin seen was 1 - 7e-16 (omega = 2.147, t = 196.6 - 2i),
-# and 1 - 6e-16 on descents from lambda in {0.7, 5, 50, 200, 249} at those
-# omegas.  The bound sits ten times below that; it catches a carried
+# the smallest margin seen was 1 - 6e-16 (omega = 0.091, t = 128.5 - 2i),
+# and no smaller on descents from lambda in {0.7, 5, 50, 200, 249} at
+# those omegas.  The bound sits ten times below that; it catches a carried
 # sigma'' turned off both roots
 BRANCH_MARGIN = 0.1
 
@@ -113,9 +120,8 @@ class SpectralParameter:
 class SolverConfig:
     series_order: int = 14
     series_rtol: float = 1e-14     # last retained series term vs partial sum
-    # a Taylor step's last two terms of sigma and of L stay below rtol * atol
-    rtol: float = 1e-12
-    atol: float = 1e-13
+    # a Taylor step's last two terms of sigma and of L stay below this
+    truncation: float = 1e-19
     # Im t of the path beyond the series radius, for every zeta != 0.  The
     # determinant's zeros (poles of sigma) lie on or above the real axis,
     # up to Im t = 2.2 for omega in [2.7, pi) (module docstring); below the
@@ -127,11 +133,9 @@ class SolverConfig:
         if not (np.isfinite(self.elevation) and self.elevation != 0.0):
             raise ValueError(
                 f"elevation must be finite and nonzero, got {self.elevation}")
-        for name in ("rtol", "atol"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
+        if not (np.isfinite(self.truncation) and self.truncation > 0.0):
+            raise ValueError(f"truncation must be finite and positive, "
+                             f"got {self.truncation}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -162,29 +166,34 @@ def series_sigma0(zeta, order: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _series_coeffs(z: complex, order: int) -> np.ndarray:
     """series_sigma0 at a complex zeta, read-only: built once per (zeta,
-    order) and shared by the series radius and the solve."""
+    order) and shared by the series radius and the solve.
 
-    def residual_coeff(coeffs, n):
-        # coefficient of t^n of (t s'')^2 + f^2 + 4 f s'^2, f = t s' - s
-        sp = np.arange(1, len(coeffs)) * coeffs[1:]
-        spp = np.arange(1, len(sp)) * sp[1:]
-        t_spp = np.concatenate(([0.0], spp))
-        f = np.concatenate(([0.0], sp)) - coeffs[: len(sp) + 1]
-        g = npoly.polymul(t_spp, t_spp)
-        g = npoly.polyadd(g, npoly.polymul(f, f))
-        g = npoly.polyadd(g, 4.0 * npoly.polymul(f, npoly.polymul(sp, sp)))
-        return g[n] if n < len(g) else 0.0
-
-    c = np.zeros(order + 1, dtype=complex)
+    With u = t s'', f = t s' - s and p = s', the coefficient of t^n of
+    u^2 + f^2 + 4 f p^2 holds c_n only in 2 u_1 u_{n-1} + 4 f_n p_0^2,
+    which is 4 (n-1)^2 c_2 c_n since c_1^2 = -c_2.  So c_n is minus the
+    rest of that coefficient over 4 (n-1)^2 c_2.  Plain Python, as in
+    _taylor.  Raises ValueError if a coefficient overflows.
+    """
+    c = [0j] * (order + 1)
     if z != 0:
         c[1] = -z / TWO_PI
         c[2] = -(z / TWO_PI) ** 2
+        f = [0j, 0j, c[2]]                 # t s' - s: f_i = (i - 1) c_i
+        u = [0j, 2.0 * c[2]]               # t s'': u_i = i (i + 1) c_{i+1}
+        p = [c[1], 2.0 * c[2]]             # s': p_i = (i + 1) c_{i+1}
+        q = [c[1] * c[1]]                  # s'^2
         for n in range(3, order + 1):
-            r0 = residual_coeff(c, n)
-            c[n] = 1.0
-            r1 = residual_coeff(c, n)
-            c[n] = -r0 / (r1 - r0)
-    c = c[1:]
+            q.append(sum(map(mul, p, reversed(p))))
+            r = (sum(map(mul, u[2:], reversed(u[2:])))
+                 + sum(map(mul, f[2:n - 1], reversed(f[2:n - 1])))
+                 + 4.0 * sum(map(mul, f[2:], reversed(q[1:]))))
+            c[n] = -r / (4.0 * (n - 1) ** 2 * c[2])
+            f.append((n - 1) * c[n])
+            u.append((n - 1) * n * c[n])
+            p.append(n * c[n])
+    c = np.array(c[1:], dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"the sigma0 series overflows at zeta = {z}")
     c.flags.writeable = False
     return c
 
@@ -198,16 +207,18 @@ class _Series:
         self.coeffs = _series_coeffs(zeta, self.order)  # c_1..c_order
 
     def radius(self, config: SolverConfig) -> float:
-        """Largest t0 at which the last term is negligible vs the sum."""
+        """Largest t0 in 0.5 * 0.8^k above 1e-3 at which the last term is
+        negligible vs the sum; ValueError if there is none."""
         t0 = 0.5
         c = self.coeffs
         n = np.arange(1, self.order + 1)
         while t0 > 1e-3:
             total = np.sum(c * t0 ** n)
             if abs(c[-1] * t0 ** self.order) < config.series_rtol * max(abs(total), 1e-30):
-                break
+                return t0
             t0 *= 0.8
-        return t0
+        raise ValueError(f"the sigma0 series does not converge at t = 1e-3 "
+                         f"for zeta = {self.zeta}")
 
     def sigma(self, t):
         n = np.arange(1, self.order + 1)
@@ -285,10 +296,13 @@ def _taylor(tc, s, sp, spp, L):
 
 def _step(a, l, eps):
     """Largest step at which the last two Taylor terms of sigma and of L
-    are each at most eps (Jorba-Zou, Exp. Math. 14, 2005, 3.2)."""
+    are each at most eps (Jorba-Zou, Exp. Math. 14, 2005, 3.2); nan if one
+    of those terms is nan, as min() would pass over it."""
     h = np.inf
     for coeff, j in ((a[-2], TAYLOR_ORDER - 1), (a[-1], TAYLOR_ORDER),
                      (l[-2], TAYLOR_ORDER), (l[-1], TAYLOR_ORDER + 1)):
+        if coeff != coeff:
+            return np.nan
         if coeff:
             h = min(h, (eps / abs(coeff)) ** (1.0 / j))
     return h
@@ -352,9 +366,10 @@ def _integrate(t_of, rot, span, state, eps, what, t_star=None):
         spp = _select_spp(tc, s, sp, spp)
         a, l = _taylor(tc, s, sp, spp, L)
         h = _step(a, l, eps)
-        if not h > 1e-9 * max(1.0, abs(p)):          # nan included
-            raise SolverError(f"{what} stalled at {p:.6g}",
-                              t_star=p if t_star is None else t_star)
+        if not h > 1e-9 * max(1.0, abs(p)):
+            raise SolverError(
+                f"{what} {'stalled' if h == h else 'met a nan state'} at "
+                f"{p:.6g}", t_star=p if t_star is None else t_star)
         start, p = p, p + d * h if h < d * (end - p) else end
         s, sp, spp, L = _state_at(a, l, rot * (p - start))
         knots.append(p)
@@ -447,7 +462,7 @@ class SigmaTrajectory:
                       for row in (0, 1, 2, -1))
         _, (_, _, _, L) = _integrate(
             lambda tau: complex(lam, tau), 1j, (self.elevation, 0.0), state,
-            _truncation(self._config),
+            self._config.truncation,
             f"the descent to the real axis at t = {lam}", t_star=lam)
         return complex(L)
 
@@ -498,11 +513,6 @@ def path_geometry(zeta, config: SolverConfig = DEFAULT_CONFIG):
     return _Series(_as_zeta(zeta), config).radius(config), config.elevation
 
 
-def _truncation(config: SolverConfig) -> float:
-    """Per-step truncation bound of the Taylor stepper: rtol * atol."""
-    return config.rtol * config.atol
-
-
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
                  positions=None, heights=()):
     """Integrate sigma0(t; zeta) with its log-integral up to path position
@@ -518,8 +528,8 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
     ``heights`` between 0 and the elevation, read off the same pieces as
     the trajectory's, with the same steps.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     z = _as_zeta(zeta)
     elevation = config.elevation
     ser = _Series(z, config)
@@ -532,18 +542,17 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
         heights = _checked(heights, elevation, "lift heights")
     path = lift = None
     if t_max > t0:
-        eps = _truncation(config)
         state = tuple(complex(f(t0)) for f in (
             ser.sigma, ser.sigma_prime, ser.sigma_pp, ser.log_integral))
         # one branch tracker for the whole integration: seeded by the
         # series sigma'' at t0, carried up the lift t = t0 + i tau and on
         # along the path
         lift, state = _integrate(
-            lambda tau: complex(t0, tau), 1j, (0.0, elevation), state, eps,
-            "the vertical lift", t_star=t0)
+            lambda tau: complex(t0, tau), 1j, (0.0, elevation), state,
+            config.truncation, "the vertical lift", t_star=t0)
         path, _ = _integrate(
-            lambda x: complex(x, elevation), 1.0, (t0, t_max), state, eps,
-            f"the path for zeta = {z}")
+            lambda x: complex(x, elevation), 1.0, (t0, t_max), state,
+            config.truncation, f"the path for zeta = {z}")
     traj = SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
                            _series=ser, _path=path, _lift=lift,
                            _config=config)
@@ -562,8 +571,8 @@ def log_generating_function(zeta, lam: float,
     Each call integrates afresh up to max(lambda, 1), so the value is a
     function of (zeta, lambda, config) alone, whatever was asked before.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0:
         return 0j
     z = _as_zeta(zeta)

@@ -99,10 +99,17 @@ class TestExactInversion:
 
 # delta I_k on the fixed composite rule of autocov._rule (32 Gauss-Legendre
 # nodes per sub-panel) on the default 16-node interpolant, as built with the
-# analytic spectral tail closure, the Taylor stepper and one contour below
-# the real axis for every omega, the path ending at Lambda = 250
-PER_LAG_VALUES = {0: 0.1799938777213213, 20: -0.00012699691816479847,
-                  400: -3.1662567236380083e-07}
+# analytic spectral tail closure, the Taylor stepper (order 38, steps cut at
+# 1e-19) and one contour below the real axis for every omega, the path
+# ending at Lambda = 250
+PER_LAG_VALUES = {0: 0.17999387772132128, 20: -0.00012699691816637362,
+                  400: -3.166256723439612e-07}
+
+# the same with steps of order 30 cut at 1e-25; the values must agree to
+# 1e-14
+FINE_STEP_PER_LAG_VALUES = {0: 0.1799938777213213,
+                            20: -0.00012699691816479847,
+                            400: -3.1662567236380083e-07}
 
 # the same with the path run on to Lambda = 400 and the fifth-order tail
 # closure; the values must agree to 1e-14
@@ -227,6 +234,10 @@ class TestSeriesExact:
     def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
         assert abs(autocov_exact(k, spectrum_interpolant)
                    - PER_LAG_VALUES[k]) < 1e-15
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_per_lag_values_near_fine_steps(self, k):
+        assert abs(PER_LAG_VALUES[k] - FINE_STEP_PER_LAG_VALUES[k]) <= 1e-14
 
     @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
     def test_per_lag_values_near_long_path(self, k):

@@ -71,6 +71,47 @@ class TestSeries:
         r0, r1 = residual_t3(0.0), residual_t3(1.0)
         assert abs(c[2] - (-r0 / (r1 - r0))) < 1e-14
 
+    @pytest.mark.parametrize("zeta", [1.0, 0.5, 1.0 - np.exp(0.7j),
+                                      1.0 - np.exp(3j)])
+    def test_recurrence_matches_polymul_construction(self, zeta):
+        # the construction the recurrence replaced: c_n from two residuals
+        # of the whole polynomial, at c_n = 0 and c_n = 1.  Some c_n cancel
+        # far below the terms that make them (c_12 = 2.8e-13 at zeta = 1),
+        # so both carry errors up to 3e-11 of their own size against a
+        # 50-digit evaluation; measured against the largest coefficient the
+        # two differ by at most 4.4e-17
+        from numpy.polynomial import polynomial as npoly
+
+        def residual_coeff(coeffs, n):
+            # coefficient of t^n of (t s'')^2 + f^2 + 4 f s'^2, f = t s' - s
+            sp = np.arange(1, len(coeffs)) * coeffs[1:]
+            spp = np.arange(1, len(sp)) * sp[1:]
+            t_spp = np.concatenate(([0.0], spp))
+            f = np.concatenate(([0.0], sp)) - coeffs[: len(sp) + 1]
+            g = npoly.polymul(t_spp, t_spp)
+            g = npoly.polyadd(g, npoly.polymul(f, f))
+            g = npoly.polyadd(g, 4.0 * npoly.polymul(f, npoly.polymul(sp, sp)))
+            return g[n] if n < len(g) else 0.0
+
+        old = np.zeros(15, dtype=complex)
+        old[1], old[2] = -zeta / TWO_PI, -(zeta / TWO_PI) ** 2
+        for n in range(3, 15):
+            r0 = residual_coeff(old, n)
+            old[n] = 1.0
+            old[n] = -r0 / (residual_coeff(old, n) - r0)
+        new = series_sigma0(zeta, 14)
+        assert np.max(np.abs(new - old[1:])) <= 1e-14 * np.max(np.abs(old))
+
+    def test_series_out_of_float_range_raises(self):
+        # at zeta = 1e25 the coefficients overflow; at zeta = 1e4 they do
+        # not, but the series has not converged at t = 1e-3, where the
+        # radius search ends: neither may return a value
+        with pytest.raises(ValueError, match="overflows"):
+            series_sigma0(1e25, 14)
+        for zeta in (1e25, 1e4):
+            with pytest.raises(ValueError):
+                solve_sigma0(zeta, 5.0)
+
     def test_cached_series_is_read_only(self):
         z = 1.0 - np.exp(0.7j)
         cached = painleve._series_coeffs(z, 8)
@@ -149,13 +190,47 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_sigma0(1.0, 0.0)
 
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_t_max(self, t_max):
+        # unchecked, a nan t_max gives the series alone and an infinite one
+        # a solve that never ends
+        with pytest.raises(ValueError):
+            solve_sigma0(1.0, t_max)
+        with pytest.raises(ValueError):
+            log_generating_function(1.0, t_max)
+
+    def test_nan_state_raises(self, monkeypatch):
+        # a nan state at the end of the fifth step along the path gives nan
+        # Taylor coefficients; min() passes over a nan step size, so
+        # unchecked the solve would cross the rest of the path in one step
+        # and return nan
+        z = 1.0 - np.exp(1.0j)
+        state_at, ends = painleve._state_at, []
+
+        def poisoned(a, l, tau):
+            s, sp, spp, L = state_at(a, l, tau)
+            if isinstance(tau, float):          # along the path, not the lift
+                ends.append(tau)
+                if len(ends) == 5:
+                    return complex(np.nan), sp, spp, L
+            return s, sp, spp, L
+
+        monkeypatch.setattr(painleve, "_state_at", poisoned)
+        with pytest.raises(painleve.SolverError, match="nan") as info:
+            solve_sigma0(z, 50.0)
+        assert not isinstance(info.value, BranchAmbiguityError)
+        t0, _ = path_geometry(z)
+        assert len(ends) == 5
+        assert abs(info.value.t_star - (t0 + sum(ends))) < 1e-12
+
     def test_config_rejects_bad_values(self):
         # a zero elevation would put the path on the real axis, which meets
         # the poles of sigma at omega close to pi; a bound <= 0 leaves the
         # Taylor step undefined
         for bad in ({"elevation": 0.0}, {"elevation": np.inf},
-                    {"elevation": np.nan}, {"rtol": 0.0}, {"rtol": -1e-12},
-                    {"atol": 0.0}, {"atol": -1e-13}, {"atol": np.nan}):
+                    {"elevation": np.nan}, {"truncation": 0.0},
+                    {"truncation": -1e-20}, {"truncation": np.nan},
+                    {"truncation": np.inf}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
         # either side of the axis is a valid contour

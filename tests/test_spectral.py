@@ -44,9 +44,23 @@ PANEL_EXTRAPOLATOR = {
 # the route that read exp L off the whole trajectory; read at the
 # quadrature nodes only, the same Taylor pieces must give the same bits.
 # Every entry is of the one contour (the lift at the series radius, then
-# the path at Im t = -2) with the path ending at Lambda = 250 and the
-# sixth-order Fisher-Hartwig closure fitted on [90, 250]
+# the path at Im t = -2) with the path ending at Lambda = 250, the
+# sixth-order Fisher-Hartwig closure fitted on [90, 250], and Taylor steps
+# of order 38 whose last two terms stay below 1e-19
 DENSE_ROUTE_BITS = {
+    0.05: ("0x1.04997ab22e6a5p-7", "0x1.656d26f7f907ep-40"),
+    0.3: ("0x1.81a55fc38ca78p-5", "0x1.839100171df62p-41"),
+    1.0: ("0x1.26377ccda71ccp-3", "0x1.6c26309d8b055p-40"),
+    2.2: ("0x1.f99918ed233f5p-3", "0x1.ef79f76096c32p-41"),
+    2.75: ("0x1.114b2ee949265p-2", "0x1.9cac326c08079p-39"),
+    3.0: ("0x1.14fe7512b40f4p-2", "0x1.072b4e34f3d83p-38"),
+    np.pi: ("0x1.158cbf885b159p-2", "0x1.67a3bf64e34eep-38"),
+}
+
+# the same (value, error) with steps of order 30 truncated at 1e-25 and the
+# series coefficients from two polynomial residuals each; the values must
+# agree to 1e-13
+FINE_STEP_BITS = {
     0.05: ("0x1.04997ab231993p-7", "0x1.add13cd19d00dp-41"),
     0.3: ("0x1.81a55fc38da11p-5", "0x1.9aede20fdf217p-39"),
     1.0: ("0x1.26377ccda72e9p-3", "0x1.8c9becd5c6561p-39"),
@@ -162,6 +176,23 @@ class TestPowerSpectrum:
         val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
         assert abs(val - float.fromhex(DOP853_ROUTE_BITS[omega][0])) <= 1e-12
 
+    @pytest.mark.parametrize("omega", sorted(FINE_STEP_BITS))
+    def test_values_near_fine_steps(self, omega):
+        # test_bits_match_dense_route ties the computed values to the
+        # literals; here the literals of both step sizes are held together
+        val = float.fromhex(DENSE_ROUTE_BITS[omega][0])
+        assert abs(val - float.fromhex(FINE_STEP_BITS[omega][0])) <= 1e-13
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 2.2, 3.0, np.pi])
+    def test_default_truncation_matches_fine_steps(self, omega):
+        # the same order with the steps cut at 1e-25 moved S by at most
+        # 2.5e-14 (omega = 2.2) at these omegas, one BLAS thread; the bound
+        # is twice that.  At omega = 0.05 it moved S by 1.5e-13: there S
+        # follows where the steps fall to about 1e-13, whatever their size
+        val, _ = power_spectrum(omega)
+        fine = SpectrumConfig(solver=SolverConfig(truncation=1e-25))
+        assert abs(val - power_spectrum(omega, fine)[0]) <= 5e-14
+
     @pytest.mark.parametrize("omega", sorted(LONG_PATH_BITS))
     def test_values_near_long_path(self, omega):
         # test_bits_match_dense_route ties the computed values to the
@@ -199,7 +230,8 @@ class TestPowerSpectrum:
     def test_backend_equivalence(self, omega):
         pv, pe = power_spectrum(omega)
         fd, fe = power_spectrum(omega, SpectrumConfig(backend="fredholm"))
-        assert abs(pv - fd) < 1e-8
+        # the two share no code; the worst gap seen is 2.9e-13
+        assert abs(pv - fd) < 1e-12
         # and within the two backends' error estimates
         assert abs(pv - fd) <= pe + fe
 
@@ -319,7 +351,7 @@ class TestTailClosure:
     @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 3.0])
     def test_error_estimate_covers_knob_spread(self, omega, monkeypatch):
         val, err = power_spectrum(omega)
-        tight = SpectrumConfig(solver=SolverConfig(rtol=1e-13, atol=1e-14))
+        tight = SpectrumConfig(solver=SolverConfig(truncation=1e-27))
         moved = [power_spectrum(omega, tight)[0]]
         lo, hi = spectral.FIT_WINDOW
         for shift in (-25.0, 25.0):
