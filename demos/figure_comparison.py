@@ -16,8 +16,8 @@ import os
 
 from spacingcov import montecarlo as mc
 from spacingcov.autocov import (autocov_asymptotic, autocov_dyson,
-                                autocov_series_exact,
-                                build_spectrum_interpolant)
+                                autocov_series_exact)
+from spacingcov.spectral import SpectrumInterpolant
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     ap.add_argument("--checkpoint")
     args = ap.parse_args()
 
-    interp = build_spectrum_interpolant()
+    interp = SpectrumInterpolant.build()
     cfg = mc.MCConfig(N=args.n, M=args.m, seed=args.seed, k_max=args.k_max)
     resume = bool(args.checkpoint) and os.path.exists(args.checkpoint)
     result = mc.run(cfg, checkpoint_path=args.checkpoint, resume=resume)

@@ -2,8 +2,8 @@
 
 Samples CUE(N) spectra with the sparse five-diagonal construction,
 unfolds each spacing by its per-position ensemble mean, and prints a bin
-table next to the exact density obtained as the second derivative of the
-sine-kernel gap probability.
+table next to the exact density, read in closed form from the sigma
+Painleve V solution at zeta = 1 that also gives the gap probability.
 
 Run:  python3 demos/spacing_histogram.py [--n 64] [--m 2000] [--seed 0]
 """

@@ -15,7 +15,7 @@ integral).
 
 from .autocov import (AutocovSeries, autocov_asymptotic, autocov_asymptotic_ci,
                       autocov_dyson, autocov_exact, autocov_series_exact,
-                      build_spectrum_interpolant, sum_rule_residual)
+                      sum_rule_residual)
 from .fredholm import (DeterminantRequest, gap_probability, sine_kernel_det,
                        sine_kernel_det_auto)
 from .painleve import (SigmaTrajectory, SolverConfig, SpectralParameter,
@@ -32,7 +32,7 @@ __all__ = [
     "SpectralParameter", "SpectrumConfig", "SpectrumInterpolant",
     "aggregate", "autocov_asymptotic", "autocov_asymptotic_ci",
     "autocov_dyson", "autocov_exact", "autocov_series_exact",
-    "build_spectrum_interpolant", "eig_spectrum_from_sp",
+    "eig_spectrum_from_sp",
     "finite_n_power_spectra", "gap_probability",
     "log_generating_function", "number_variance", "ordered_level_variance",
     "power_spectrum", "power_spectrum_small_omega", "running_autocov",

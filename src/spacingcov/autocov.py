@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .spectral import (DEFAULT_SPECTRUM_CONFIG, SpectrumConfig,
-                       SpectrumInterpolant)
+from .spectral import SpectrumInterpolant
 
 # Euler-Mascheroni constant, 20 digits
 EULER_GAMMA = 0.57721566490153286061
@@ -193,9 +192,3 @@ def dyson_tail_estimate(k_max: int) -> float:
         raise ValueError("k_max must be >= 1")
     K = k_max
     return (1.0 / K - 0.5 / K ** 2 + 1.0 / (6.0 * K ** 3)) / np.pi ** 2
-
-
-def build_spectrum_interpolant(config: SpectrumConfig = DEFAULT_SPECTRUM_CONFIG,
-                               **kw) -> SpectrumInterpolant:
-    """Convenience wrapper used by the CLI and tests."""
-    return SpectrumInterpolant.build(config, **kw)

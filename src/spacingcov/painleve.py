@@ -233,7 +233,9 @@ class _Series:
     def sigma_pp(self, t):
         n = np.arange(1, self.order + 1)
         t = np.asarray(t, dtype=complex)
-        return np.sum(n * (n - 1) * self.coeffs * t[..., None] ** (n - 2), axis=-1)
+        # n - 2 clipped at 0: the n = 1 term is 0 at any t, t = 0 included
+        return np.sum(n * (n - 1) * self.coeffs
+                      * t[..., None] ** np.maximum(n - 2, 0), axis=-1)
 
     def log_integral(self, t):
         n = np.arange(1, self.order + 1)
@@ -421,12 +423,12 @@ class SigmaTrajectory:
         return np.concatenate([[0.0], steps])
 
     def _eval(self, x, row: int) -> np.ndarray:
-        """sigma (row 0), sigma' (row 1) or the log-integral (row -1) at
-        path positions x: the series up to the series radius, the Taylor
-        pieces beyond it."""
+        """sigma (row 0), sigma' (row 1), sigma'' (row 2) or the
+        log-integral (row -1) at path positions x: the series up to the
+        series radius, the Taylor pieces beyond it."""
         x = _checked(x, self.t_max, "path positions")
         ser = self._series
-        series = (ser.sigma, ser.sigma_prime, ser.log_integral)[row]
+        series = (ser.sigma, ser.sigma_prime, ser.sigma_pp, ser.log_integral)[row]
         out = np.empty(x.shape, dtype=complex)
         small = x <= self.series_radius
         out[small] = series(x[small])
@@ -448,23 +450,23 @@ class SigmaTrajectory:
             raise ValueError("trajectory has no vertical segment")
         return self._lift(_checked(tau, self.elevation, "lift heights"), -1)
 
-    def log_integral_real_axis(self, lam: float) -> complex:
-        """Log-integral at the real point t = lam: the series up to the
-        series radius, beyond it a descent from lam + i elevation.
-
-        The descent starts from the path's state at lam, on the sigma''
-        root nearer the path's own sigma'' there.
-        """
+    def real_axis_state(self, lam: float) -> tuple:
+        """(sigma, sigma', sigma'', L) at the real point t = lam: the series
+        up to the series radius, beyond it the end of a descent from
+        lam + i elevation, which starts from the path's state at lam on the
+        sigma'' root nearer the path's own sigma'' there."""
         lam = float(_checked(lam, self.t_max, "lambda")[0])
+        state = tuple(complex(self._eval(lam, row)[0]) for row in (0, 1, 2, -1))
         if lam <= self.series_radius:
-            return complex(self._eval(lam, -1)[0])
-        state = tuple(complex(self._path(np.array([lam]), row)[0])
-                      for row in (0, 1, 2, -1))
-        _, (_, _, _, L) = _integrate(
+            return state
+        return _integrate(
             lambda tau: complex(lam, tau), 1j, (self.elevation, 0.0), state,
             self._config.truncation,
-            f"the descent to the real axis at t = {lam}", t_star=lam)
-        return complex(L)
+            f"the descent to the real axis at t = {lam}", t_star=lam)[1]
+
+    def log_integral_real_axis(self, lam: float) -> complex:
+        """Log-integral at the real point t = lam (real_axis_state's L)."""
+        return self.real_axis_state(lam)[3]
 
     # -- residual diagnostics ---------------------------------------------
 

@@ -56,13 +56,17 @@ class TestClosedForms:
 
 class TestExactInversion:
     def test_k0_is_spacing_variance(self, spectrum_interpolant):
+        # a third route to delta I_0: int s^2 P ds - 1, P from the zeta = 1
+        # trajectory (it moves by < 1e-15 with the cut-off between 6 and 8)
         dI0 = autocov_exact(0, spectrum_interpolant)
-        x, w = np.polynomial.legendre.leggauss(60)
+        x, w = np.polynomial.legendre.leggauss(120)
         s = 3.0 * (x + 1.0)
         P = np.array([spacing_distribution(float(v)) for v in s])
-        var = 3.0 * w @ ((s - 1.0) ** 2 * P)
+        var = 3.0 * w @ (s ** 2 * P) - 1.0
         assert dI0 > 0
-        assert abs(dI0 - var) < 1e-6
+        # measured -2.95e-11: the omega^4 term the small-omega form lacks
+        # below omega_min; the bound goes to 1e-13 once that form has it
+        assert abs(dI0 - var) < 1e-10
 
     def test_negative_for_positive_lags(self, exact_series):
         assert np.all(exact_series[1:] < 0)

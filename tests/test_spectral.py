@@ -388,14 +388,50 @@ class TestSmallOmegaForm:
         assert np.array_equal(power_spectrum_small_omega(omegas), expect)
 
 
+def _richardson_second_difference(s, h=1e-3):
+    """P(s) as the gap probability's Richardson-extrapolated central second
+    differences with steps h and h/2: the finite-difference route that the
+    closed form replaced, kept as its reference."""
+    gap = fredholm.gap_probability
+
+    def second_diff(step):
+        return (gap(s - step) - 2.0 * gap(s) + gap(s + step)) / step ** 2
+
+    return (4.0 * second_diff(0.5 * h) - second_diff(h)) / 3.0
+
+
 class TestSpacingDistribution:
     def test_normalization_and_mean(self):
         x, w = np.polynomial.legendre.leggauss(60)
         s = 3.0 * (x + 1.0)
         W = 3.0 * w
         P = np.array([spacing_distribution(float(v)) for v in s])
-        assert abs(W @ P - 1.0) < 1e-6
-        assert abs(W @ (s * P) - 1.0) < 1e-6
+        # measured: -5.6e-15 and -5.9e-15
+        assert abs(W @ P - 1.0) < 1e-12
+        assert abs(W @ (s * P) - 1.0) < 1e-12
+
+    def test_matches_fredholm_second_differences(self):
+        # criterion 2's grid; its smallest node, 0.0024, clears the stencil
+        x, _ = np.polynomial.legendre.leggauss(60)
+        s = 3.0 * (x + 1.0)
+        P = np.array([spacing_distribution(float(v)) for v in s])
+        fd = np.array([_richardson_second_difference(float(v)) for v in s])
+        # measured 1.07e-8: the differences' own error
+        assert np.max(np.abs(P - fd)) < 1e-7
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-4])
+    def test_small_s_expansion(self, s):
+        # the series of the bracket keeps P relative as s -> 0, where the
+        # state formula cancels (2e-16 relative measured at both)
+        expect = np.pi ** 2 / 3 * s ** 2 - 2 * np.pi ** 4 / 45 * s ** 4
+        assert spacing_distribution(s) == pytest.approx(expect, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("s", [12.0, 20.0])
+    def test_large_s_raises(self, s):
+        # the computed state's imaginary part is O(1) of P from s = 13 on;
+        # at s = 20 the unchecked value was -7.3e-184
+        with pytest.raises(painleve.SolverError):
+            spacing_distribution(s)
 
     def test_level_repulsion_exponent(self):
         s = np.array([0.05, 0.1, 0.2])
@@ -409,6 +445,11 @@ class TestSpacingDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             spacing_distribution(-0.5)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, s):
+        with pytest.raises(ValueError):
+            spacing_distribution(s)
 
 
 class TestEigSpectrum:
