@@ -37,6 +37,7 @@ O(k^-6) for integer k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -114,7 +115,7 @@ def _fourier_inversion(ks, spectrum: SpectrumInterpolant) -> np.ndarray:
     """delta I_k for every k in the 1-d sequence ks, on the fixed rule of
     _rule, with the cosines from angle addition."""
     ks = _lags(ks)
-    om, w = (np.concatenate(a) for a in zip(*_rule(spectrum)))
+    om, w = _rule(tuple(map(float, spectrum.edges)))
     v = w * spectrum(om)
     q, iq = np.unique(ks // _LAG_BLOCK, return_inverse=True)
     r, ir = np.unique(ks % _LAG_BLOCK, return_inverse=True)
@@ -126,18 +127,24 @@ def _fourier_inversion(ks, spectrum: SpectrumInterpolant) -> np.ndarray:
     return table[iq, ir] / np.pi
 
 
-def _rule(spectrum: SpectrumInterpolant):
-    """The inversion rule on [0, pi]: (nodes, weights) for each interval
-    between breaks at 0 and the interpolant's edges (omega_min first),
+@lru_cache(maxsize=8)
+def _rule(edges: tuple):
+    """The inversion rule on [0, pi] for the interpolant edges ``edges``
+    (omega_min first), read-only and built once per tuple: (nodes,
+    weights) over the intervals between breaks at 0 and the edges,
     GAUSS_NODES per equal sub-panel no wider than PANEL_WIDTH."""
     gx, gw = leggauss(GAUSS_NODES)
-    breaks = np.concatenate([[0.0], spectrum.edges])
+    breaks = (0.0,) + edges
+    nodes, weights = [], []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         m = int(np.ceil((hi - lo) / PANEL_WIDTH))
         h = (hi - lo) / m
         starts = lo + h * np.arange(m)
-        yield ((starts[:, None] + 0.5 * h * (gx + 1.0)).ravel(),
-               np.tile(0.5 * h * gw, m))
+        nodes.append((starts[:, None] + 0.5 * h * (gx + 1.0)).ravel())
+        weights.append(np.tile(0.5 * h * gw, m))
+    om, w = np.concatenate(nodes), np.concatenate(weights)
+    om.flags.writeable = w.flags.writeable = False
+    return om, w
 
 
 def autocov_dyson(k: int) -> float:

@@ -38,7 +38,7 @@ keeps the state on the constraint manifold, from which the third-order
 form, with sigma'' carried from piece to piece, drifts exponentially
 along complex paths.
 
-The contour runs below the real axis, at delta = -2.  With v =
+The contour runs below the real axis, at delta = -4.  With v =
 omega/2pi, the determinant's zeros (poles of sigma) lie where its two
 leading Fisher-Hartwig terms, t^{-2v^2} e^{ivt} and t^{-2(1-v)^2}
 e^{i(v-1)t} (Deift-Its-Krasovsky, Ann. Math. 2011), cancel: to leading
@@ -48,11 +48,20 @@ axis and Im t = 2.2 for omega in [2.7, pi) up to t = 400, and higher for
 smaller omega.  So a path on or above the axis can run among the poles of
 sigma, where the steps shrink to the distance from the nearest pole.
 Below the axis the term e^{ivt} dominates and no zero lies near the path.
+A step still reaches only about a fixed fraction of the way to the
+nearest pole, so near omega = pi, where the poles sit on the axis, the
+depth sets the step length: at omega = 3 the path to t = 250 takes 292
+steps at delta = -2 and 181 at -4.  The depth comes from a sweep against
+the pinned values of S and delta I_k.  At -3 and -3.5, S(0.05) moved by
+2e-13 and 5e-13, beyond its 1e-13 near-pins.  At -4.5 the worst error
+estimate of the 96 interpolant nodes rose to 1.9e-10 (omega = 0.05), and
+at -5 to 1.6e-10.  Only -4 kept every bound.
+
 Off the circle the same contour serves: at zeta = 0.5 and 1 its descents
-match the Fredholm determinant to 1.2e-15 for lambda <= 39.  On the circle
-the worst |exp L - det| seen at lambda <= 399 is 9.6e-13
+match the Fredholm determinant to 5.6e-16 for lambda <= 39.  On the circle
+the worst |exp L - det| seen at lambda <= 399 is 9.7e-13
 (omega = 1.5, lambda = 399), and the worst error estimate of S over the
-96 interpolant nodes is 5.1e-12.
+96 interpolant nodes is 5.0e-12.
 """
 
 from __future__ import annotations
@@ -74,8 +83,8 @@ TWO_PI = 2.0 * np.pi
 TAYLOR_ORDER = 38
 # smallest sigma'' branch margin accepted (see _select_spp).  A Taylor
 # piece carries sigma'' onto a root to within its truncation: over the
-# node-reading solves of the 96-node spectrum build (paths to t = 250 - 2i)
-# the smallest margin seen was 1 - 6e-16 (omega = 0.091, t = 128.5 - 2i),
+# node-reading solves of the 96-node spectrum build (paths to t = 250 - 4i)
+# the smallest margin seen was 1 - 6e-16 (omega = 0.200, t = 104.0 - 4i),
 # and no smaller on descents from lambda in {0.7, 5, 50, 200, 249} at
 # those omegas.  The bound sits ten times below that; it catches a carried
 # sigma'' turned off both roots
@@ -125,9 +134,13 @@ class SolverConfig:
     # Im t of the path beyond the series radius, for every zeta != 0.  The
     # determinant's zeros (poles of sigma) lie on or above the real axis,
     # up to Im t = 2.2 for omega in [2.7, pi) (module docstring); below the
-    # axis none lies near the path.  Nonzero: on the axis the path meets
-    # them at omega close to pi
-    elevation: float = -2.0
+    # axis none lies near the path.  A Taylor step reaches about a fixed
+    # fraction of the distance to the nearest pole, so near omega = pi the
+    # depth sets the step length.  Of the depths -3, -3.5, -4 and -4.5 only
+    # -4 moved no pinned S or delta I_k beyond its bound (module
+    # docstring).  Nonzero: on the axis the path meets the poles at omega
+    # close to pi
+    elevation: float = -4.0
 
     def __post_init__(self):
         if not (np.isfinite(self.elevation) and self.elevation != 0.0):

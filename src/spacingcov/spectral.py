@@ -24,8 +24,11 @@ exponents and rates are known, so the 30 amplitudes C_j c_jm (m < 6) are a
 linear least-squares fit to exp L on the window lam in [90, 250], taken on
 the same path and the same quadrature nodes as the head.  Each term is
 integrated from Lambda to infinity by Gauss-Laguerre along the ray
-t = Lambda +- i s on which its oscillation decays.  Both backends share
-this closure.
+t = Lambda +- i s on which its oscillation decays.  One design matrix,
+its columns exp(p log(t/90) + i (v+j) t), serves this fit and the
+fifth-order one of the error estimate, which solves on its columns m < 5;
+one table of the rays serves both tails.  Both backends share this
+closure.
 
 The leading amplitude is known in closed form, C_0 = [G(1+v) G(1-v)]^2
 with G the Barnes G-function, so every value carries an analytic check: a
@@ -61,9 +64,9 @@ from .painleve import (DEFAULT_CONFIG, SolverConfig, SolverError,
 TWO_PI = 2.0 * np.pi
 
 # analytic tail closure (see the module docstring).  The sixth-order fit
-# lets the path stop at 250: the 96 interpolant nodes stay within 1.6e-13
+# lets the path stop at 250: the 96 interpolant nodes stay within 9.8e-14
 # of a fifth-order fit on a path to 400, and their worst error estimate is
-# 5.4e-12
+# 5.0e-12 (one BLAS thread)
 TAIL_START = 250.0             # Lambda: quadrature on [0, Lambda], model beyond
 FIT_WINDOW = (90.0, 250.0)     # path positions whose values fix the amplitudes
 FIT_ORDER = 6                  # corrections lam^{-m}, m < 6: 30 amplitudes
@@ -76,8 +79,8 @@ DENSITY_RTOL = 1e-6            # |Im P| / |P| of a returned spacing density
 # the exact route raises (reachable only with omega_min below it).  Deviation
 # from the closed form plus -1.59e-3 omega^4 against the reported error,
 # with omega_min = 1e-4 and one BLAS thread:
-#   omega = 0.002: 2.3e-9 against 4.7e-11;  0.005: 9.6e-10 against 7.7e-12;
-#   omega = 0.01: 1.2e-11 against 7.9e-12;  0.015: 1.6e-12 against 7.3e-12
+#   omega = 0.002: 2.8e-9 against 3.2e-11;  0.005: 1.0e-9 against 6.4e-12;
+#   omega = 0.01: 1.1e-11 against 1.1e-11;  0.015: 2.4e-13 against 6.3e-12
 TAIL_OMEGA_MIN = 0.015
 
 # the modules whose code computes S(omega); spectrum.npz is keyed by them
@@ -196,33 +199,43 @@ def _laguerre_rule():
     return x, w
 
 
-def _tail(v: float, x, values, elevation: float, order: int):
-    """(tail, C_0, misfit): integral of exp L from t = Lambda + i elevation
-    to infinity, from the model fitted to ``values`` = exp L at path
-    positions x (t = x + i elevation) in the window.
+def _tail(v: float, x, values, elevation: float):
+    """(tail, coarse, C_0, misfit): integral of exp L from t = Lambda + i
+    elevation to infinity, from the model fitted to ``values`` = exp L at
+    path positions x (t = x + i elevation) in the window; coarse is the
+    same integral from the fit that drops the highest order.
 
     The model is sum_j C_j t^{-2(v+j)^2} e^{i(v+j)t} (1 + sum_m c_jm t^{-m});
     the exponents and rates are fixed, so the amplitudes C_j c_jm are a
-    linear least-squares fit.  Each term is integrated on the ray
-    t = Lambda + i elevation +- i s along which its e^{i(v+j)t} decays.
+    linear least-squares fit.  One design matrix, its column (j, m)
+    exp(p_jm log(t/lo) + i (v+j) t) with p_jm = -2(v+j)^2 - m, serves both
+    fits: the coarse one solves on its columns m < FIT_ORDER - 1.  Each
+    term is integrated on the ray t = Lambda + i elevation +- i s along
+    which its e^{i(v+j)t} decays; one table of the rays serves both fits.
     """
     lo = FIT_WINDOW[0]
     rates = v + FIT_SHIFTS
-    powers = -2.0 * rates[:, None] ** 2 - np.arange(order)    # (j, m)
+    powers = -2.0 * rates[:, None] ** 2 - np.arange(FIT_ORDER)    # (j, m)
     t = (x + 1j * elevation)[:, None, None]
-    A = ((t / lo) ** powers * np.exp(1j * rates[:, None] * t)).reshape(len(x), -1)
-    amp = np.linalg.lstsq(A, values, rcond=None)[0]
-    misfit = np.linalg.norm(A @ amp - values) / np.linalg.norm(values)
+    A = np.exp(np.log(t / lo) * powers + 1j * rates[:, None] * t)  # (n, j, m)
     # rotated rays: t = t_L + i sgn(r) s, e^{irt} = e^{irt_L} e^{-|r| s}
     lx, lw = _laguerre_rule()
     sgn, speed = np.sign(rates), np.abs(rates)
     t_L = TAIL_START + 1j * elevation
     rays = t_L + 1j * (sgn / speed)[:, None] * lx                  # (j, k)
-    ray_sums = np.einsum("k,jmk->jm", lw,
-                         (rays[:, None, :] / lo) ** powers[:, :, None])
+    ray_sums = np.exp(np.log(rays / lo)[:, None, :]
+                      * powers[:, :, None]) @ lw                   # (j, m)
     terms = (1j * sgn / speed * np.exp(1j * rates * t_L))[:, None] * ray_sums
+
+    def fit(orders):
+        cols = A[:, :, :orders].reshape(len(x), -1)
+        amp = np.linalg.lstsq(cols, values, rcond=None)[0]
+        return amp, cols, complex(amp @ terms[:, :orders].ravel())
+
+    amp, cols, tail = fit(FIT_ORDER)
+    misfit = np.linalg.norm(cols @ amp - values) / np.linalg.norm(values)
     c0 = amp.reshape(powers.shape)[FIT_SHIFTS == 0, 0][0] * lo ** (2.0 * v * v)
-    return complex(amp @ terms.ravel()), complex(c0), float(misfit)
+    return tail, fit(FIT_ORDER - 1)[2], complex(c0), float(misfit)
 
 
 def power_spectrum(omega: float,
@@ -252,13 +265,12 @@ def power_spectrum(omega: float,
     head = vertical + np.sum(w[inside] * values[inside])
     fit = (x >= lo) & (x <= hi)
     v = omega / TWO_PI
-    tail, c0, misfit = _tail(v, x[fit], values[fit], elevation, FIT_ORDER)
+    tail, coarse, c0, misfit = _tail(v, x[fit], values[fit], elevation)
     drift = abs(c0 / _barnes_g_product(v) ** 2 - 1.0)
     if misfit > FIT_RESIDUAL_TOL or drift > C0_RTOL:
         raise TruncationError(
             f"tail model misfit {misfit:.2e}, C_0 off by {drift:.2e} "
             f"for omega = {omega}")
-    coarse = _tail(v, x[fit], values[fit], elevation, FIT_ORDER - 1)[0]
     total = head + tail
     # the fit's truncation, plus the relative error of the trajectory's
     # values as the closed-form C_0 measures it, times the sensitivity
@@ -307,9 +319,9 @@ def spacing_distribution(s: float) -> float:
     a series from t^2 on: P keeps its relative accuracy as s -> 0 (2e-16
     at s = 1e-4).  On [0, 6] P integrates to 1 with mean 1 to 6e-15.
 
-    Domain s in [0, about 8.5]: the exact state is real, and |Im P| / |P|,
-    an estimate of the relative error, grows about as e^{pi s} (4e-10 at
-    s = 6, 2e-7 at 8, 1e-4 at 10, O(1) from 13 on).  Above DENSITY_RTOL
+    Domain s in [0, about 8.3]: the exact state is real, and |Im P| / |P|,
+    an estimate of the relative error, grows about as e^{pi s} (8e-10 at
+    s = 6, 4e-7 at 8, 2e-4 at 10, 0.1 to 1 from 12 on).  Above DENSITY_RTOL
     it raises SolverError.
     """
     if not (np.isfinite(s) and s >= 0):

@@ -104,10 +104,17 @@ class TestExactInversion:
 # delta I_k on the fixed composite rule of autocov._rule (32 Gauss-Legendre
 # nodes per sub-panel) on the default 16-node interpolant, as built with the
 # analytic spectral tail closure, the Taylor stepper (order 38, steps cut at
-# 1e-19) and one contour below the real axis for every omega, the path
-# ending at Lambda = 250
-PER_LAG_VALUES = {0: 0.17999387772132128, 20: -0.00012699691816637362,
-                  400: -3.166256723439612e-07}
+# 1e-19) and one contour at Im t = -4 for every omega, the path ending at
+# Lambda = 250
+PER_LAG_VALUES = {0: 0.17999387772132125, 20: -0.0001269969181678293,
+                  400: -3.166256724169136e-07}
+
+# the same with the path at Im t = -2 and the tail fits each building their
+# own matrix of powers; the values must agree to 1e-14.  The literals below
+# were taken on paths at Im t = -2 as well
+ELEVATION_TWO_PER_LAG_VALUES = {0: 0.17999387772132128,
+                                20: -0.00012699691816637362,
+                                400: -3.166256723439612e-07}
 
 # the same with steps of order 30 cut at 1e-25; the values must agree to
 # 1e-14
@@ -141,8 +148,8 @@ DOP853_PER_LAG_VALUES = {0: 0.1799938777213375, 20: -0.0001269969181651397,
 
 
 def rule_nodes(spectrum):
-    """Nodes and weights of autocov._rule, all intervals concatenated."""
-    return tuple(np.concatenate(a) for a in zip(*autocov._rule(spectrum)))
+    """Nodes and weights of autocov._rule for the interpolant's edges."""
+    return autocov._rule(tuple(map(float, spectrum.edges)))
 
 
 class TestSeriesExact:
@@ -158,6 +165,8 @@ class TestSeriesExact:
         def no_rule(n):
             raise AssertionError("quadrature rule built before the guard")
         monkeypatch.setattr(autocov, "leggauss", no_rule)
+        # emptied, the rule cache cannot hide a rule built before the guard
+        autocov._rule.cache_clear()
         with pytest.raises(ValueError, match="resolution guard"):
             autocov_series_exact(401, spectrum_interpolant)
 
@@ -176,6 +185,7 @@ class TestSeriesExact:
         def no_rule(n):
             raise AssertionError("quadrature rule built before the check")
         monkeypatch.setattr(autocov, "leggauss", no_rule)
+        autocov._rule.cache_clear()
         with pytest.raises(ValueError, match=match):
             call(spectrum_interpolant)
 
@@ -223,8 +233,26 @@ class TestSeriesExact:
             sizes.append(n)
             return np.polynomial.legendre.leggauss(n)
         monkeypatch.setattr(autocov, "leggauss", recording)
+        autocov._rule.cache_clear()         # so that this call builds one
         autocov_series_exact(autocov.K_CAP, spectrum_interpolant)
         assert sizes and max(sizes) <= 32
+
+    def test_rule_built_once_per_edges(self, spectrum_interpolant,
+                                       monkeypatch):
+        # the rule depends on the edges alone: later inversions on the same
+        # edges share it, read-only
+        sizes = []
+
+        def recording(n):
+            sizes.append(n)
+            return np.polynomial.legendre.leggauss(n)
+        monkeypatch.setattr(autocov, "leggauss", recording)
+        autocov._rule.cache_clear()
+        autocov_series_exact(20, spectrum_interpolant)
+        autocov_exact(7, spectrum_interpolant)
+        assert sizes == [autocov.GAUSS_NODES]
+        x, w = rule_nodes(spectrum_interpolant)
+        assert not (x.flags.writeable or w.flags.writeable)
 
     @pytest.mark.parametrize("k_max, tol", [(50, 2e-15), (autocov.K_CAP, 2e-14)])
     def test_rule_integrates_cosines(self, spectrum_interpolant, k_max, tol):
@@ -238,6 +266,10 @@ class TestSeriesExact:
     def test_single_lag_matches_per_lag_quadrature(self, spectrum_interpolant, k):
         assert abs(autocov_exact(k, spectrum_interpolant)
                    - PER_LAG_VALUES[k]) < 1e-15
+
+    @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
+    def test_per_lag_values_near_elevation_two(self, k):
+        assert abs(PER_LAG_VALUES[k] - ELEVATION_TWO_PER_LAG_VALUES[k]) <= 1e-14
 
     @pytest.mark.parametrize("k", sorted(PER_LAG_VALUES))
     def test_per_lag_values_near_fine_steps(self, k):

@@ -227,7 +227,8 @@ class TestFigure1:
             assert float(ma) == pytest.approx(0.0, abs=1e-18)
             assert float(ra) == pytest.approx(1.0, abs=1e-12)
             assert float(md) == pytest.approx(
-                ac.autocov_asymptotic(k) - ac.autocov_dyson(k), rel=1e-12)
+                ac.autocov_asymptotic(k) - ac.autocov_dyson(k), rel=1e-12,
+                abs=0)
 
     def test_missing_columns_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -234,7 +234,7 @@ class TestRunningAutocov:
         rng = _rng(7)
         s = rng.random(12) + 0.5
         direct = np.mean([s[i] * s[i + k] - 1.0 for i in range(12 - k)])
-        assert running_autocov(s, k) == pytest.approx(direct, rel=1e-12)
+        assert running_autocov(s, k) == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 class TestAggregate:
@@ -551,7 +551,8 @@ class TestLevelStatistics:
 
     def test_var_lambda_1_equals_spacing_variance(self, mc_small_run):
         v1 = mc_small_run.var_lambda(1)
-        assert v1 == pytest.approx(mc_small_run.cov[0, 0], rel=1e-12)
+        assert v1 == pytest.approx(mc_small_run.cov[0, 0], rel=1e-12,
+                                  abs=0)
 
     def test_var_lambda_grows(self, mc_small_run):
         v = [mc_small_run.var_lambda(k) for k in (2, 4, 8, 16)]
@@ -563,7 +564,7 @@ class TestLevelStatistics:
         u = unfold(batch, batch.raw_spacings.mean(axis=0))
         v1, _ = ordered_level_variance(u.unfolded_spacings, 1)
         assert v1 == pytest.approx(u.unfolded_spacings[:, 0].var(ddof=1),
-                                   rel=1e-12)
+                                   rel=1e-12, abs=0)
         with pytest.raises(ValueError):
             ordered_level_variance(u.unfolded_spacings, 40)
 

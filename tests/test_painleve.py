@@ -316,9 +316,10 @@ class TestSolver:
 
     def test_node_positions_are_checked(self):
         z = 1.0 - np.exp(3.0j)
-        # lift heights lie between 0 and the elevation, here -2
+        # lift heights lie between 0 and the elevation
+        beyond = 1.25 * painleve.DEFAULT_CONFIG.elevation
         for positions, heights in (([1.0, 5.5], ()), ([1.0], [1.5]),
-                                   ([1.0], [-2.5]), ([np.nan], ())):
+                                   ([1.0], [beyond]), ([np.nan], ())):
             with pytest.raises(ValueError):
                 solve_sigma0(z, 5.0, positions=positions, heights=heights)
         # inside the series radius no step is taken, and there is no lift
@@ -329,10 +330,17 @@ class TestSolver:
         assert np.array_equal(at.log_integral,
                               solve_sigma0(z, 0.1).eval_log_integral([0.05, 0.1]))
 
+    def test_step_budget_near_pi(self):
+        # at omega = 3 the poles of sigma lie on or just above the real
+        # axis; a path at Im t = -4 keeps them far enough off to take 181
+        # steps to t = 250, against 292 at Im t = -2
+        traj = solve_sigma0(1.0 - np.exp(3.0j), 250.0)
+        assert len(traj.t_grid) - 1 <= 200
+
     @pytest.mark.parametrize("omega", [0.3, 1.5, 2.6, 2.8, np.pi])
     def test_exp_l_matches_determinant_to_400(self, omega):
         # every omega takes the path at Im t = config.elevation and its
-        # descents; the worst seen was 9.8e-13 (omega = 1.5, lambda = 399)
+        # descents; the worst seen was 9.7e-13 (omega = 1.5, lambda = 399)
         z = 1.0 - np.exp(1j * omega)
         traj = solve_sigma0(z, 400.0)
         assert traj.elevation == painleve.DEFAULT_CONFIG.elevation
@@ -384,7 +392,7 @@ class TestBranchChoice:
 
         monkeypatch.setattr(painleve, "_state_at", turned)
         with pytest.raises(BranchAmbiguityError) as info:
-            solve_sigma0(z, 10.0)
+            solve_sigma0(z, 20.0)       # 15 steps along the path, unturned
         t0, elevation = path_geometry(z)
         assert len(ends) == 10
         assert abs(info.value.t_star - complex(t0 + sum(ends), elevation)) < 1e-12
