@@ -89,6 +89,10 @@ TAYLOR_ORDER = 38
 # those omegas.  The bound sits ten times below that; it catches a carried
 # sigma'' turned off both roots
 BRANCH_MARGIN = 0.1
+# the sigma0 series: its last retained coefficient, and the bound on its
+# last term relative to the partial sum at the series radius
+SERIES_ORDER = 14
+SERIES_RTOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -127,8 +131,6 @@ class SpectralParameter:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    series_order: int = 14
-    series_rtol: float = 1e-14     # last retained series term vs partial sum
     # a Taylor step's last two terms of sigma and of L stay below this
     truncation: float = 1e-19
     # Im t of the path beyond the series radius, for every zeta != 0.  The
@@ -212,48 +214,37 @@ def _series_coeffs(z: complex, order: int) -> np.ndarray:
 
 
 class _Series:
-    """Truncated sigma0 series with evaluation helpers."""
+    """Truncated sigma0 series, c_1..c_SERIES_ORDER."""
 
-    def __init__(self, zeta: complex, config: SolverConfig):
+    def __init__(self, zeta: complex):
         self.zeta = zeta
-        self.order = config.series_order
-        self.coeffs = _series_coeffs(zeta, self.order)  # c_1..c_order
+        self.coeffs = c = _series_coeffs(zeta, SERIES_ORDER)
+        n = np.arange(1, SERIES_ORDER + 1)
+        # (coefficient, power) of each term, indexed by row as in __call__;
+        # n - 2 clipped at 0: the n = 1 term of sigma'' is 0 at any t
+        self._terms = ((c, n), (n * c, n - 1),
+                       (n * (n - 1) * c, np.maximum(n - 2, 0)), (c / n, n))
 
-    def radius(self, config: SolverConfig) -> float:
+    def radius(self) -> float:
         """Largest t0 in 0.5 * 0.8^k above 1e-3 at which the last term is
         negligible vs the sum; ValueError if there is none."""
         t0 = 0.5
         c = self.coeffs
-        n = np.arange(1, self.order + 1)
+        n = np.arange(1, SERIES_ORDER + 1)
         while t0 > 1e-3:
             total = np.sum(c * t0 ** n)
-            if abs(c[-1] * t0 ** self.order) < config.series_rtol * max(abs(total), 1e-30):
+            if abs(c[-1] * t0 ** SERIES_ORDER) < SERIES_RTOL * max(abs(total), 1e-30):
                 return t0
             t0 *= 0.8
         raise ValueError(f"the sigma0 series does not converge at t = 1e-3 "
                          f"for zeta = {self.zeta}")
 
-    def sigma(self, t):
-        n = np.arange(1, self.order + 1)
+    def __call__(self, t, row: int) -> np.ndarray:
+        """sigma (row 0) or its derivative number ``row`` (1, 2), or L (row
+        -1), at t: the sum of (coefficient) * t**power over the terms."""
+        coeff, power = self._terms[row]
         t = np.asarray(t, dtype=complex)
-        return np.sum(self.coeffs * t[..., None] ** n, axis=-1)
-
-    def sigma_prime(self, t):
-        n = np.arange(1, self.order + 1)
-        t = np.asarray(t, dtype=complex)
-        return np.sum(n * self.coeffs * t[..., None] ** (n - 1), axis=-1)
-
-    def sigma_pp(self, t):
-        n = np.arange(1, self.order + 1)
-        t = np.asarray(t, dtype=complex)
-        # n - 2 clipped at 0: the n = 1 term is 0 at any t, t = 0 included
-        return np.sum(n * (n - 1) * self.coeffs
-                      * t[..., None] ** np.maximum(n - 2, 0), axis=-1)
-
-    def log_integral(self, t):
-        n = np.arange(1, self.order + 1)
-        t = np.asarray(t, dtype=complex)
-        return np.sum(self.coeffs / n * t[..., None] ** n, axis=-1)
+        return np.sum(coeff * t[..., None] ** power, axis=-1)
 
 
 def _select_spp(t, s, sp, prev):
@@ -407,13 +398,15 @@ def _checked(x, end: float, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SigmaTrajectory:
     """sigma0 along a path in the t-plane, with its accumulated log-integral:
-    the frozen result of one integration.
+    the frozen result of one integration.  The spectrum's quadrature, the
+    descents to the real axis and the debug dump all read it.
 
     The truncated power series is authoritative up to ``series_radius``.
     Beyond it the Taylor pieces of the path run in path position x up to
     ``t_max``, on the path Im t = ``elevation``; the pieces of the vertical
     lift t = series_radius + i tau lead there.  Every value is read from
-    these pieces, and a position outside them raises ValueError.
+    the series or these pieces, both indexed by row (sigma 0, sigma' 1,
+    sigma'' 2, L -1), and a position outside them raises ValueError.
     ``t_grid`` lists the ends of the path's steps.
     """
 
@@ -440,11 +433,9 @@ class SigmaTrajectory:
         log-integral (row -1) at path positions x: the series up to the
         series radius, the Taylor pieces beyond it."""
         x = _checked(x, self.t_max, "path positions")
-        ser = self._series
-        series = (ser.sigma, ser.sigma_prime, ser.sigma_pp, ser.log_integral)[row]
         out = np.empty(x.shape, dtype=complex)
         small = x <= self.series_radius
-        out[small] = series(x[small])
+        out[small] = self._series(x[small], row)
         if not small.all():
             out[~small] = self._path(x[~small], row)
         return out
@@ -511,25 +502,7 @@ class SigmaTrajectory:
         return out
 
 
-@dataclass(frozen=True)
-class PathValues:
-    """The log-integral of one integration at the points asked for in
-    advance, and nothing else of it."""
-
-    t_grid: np.ndarray                    # as SigmaTrajectory.t_grid
-    log_integral: np.ndarray              # at the path positions
-    vertical_log_integral: np.ndarray     # at the lift heights
-
-
-def path_geometry(zeta, config: SolverConfig = DEFAULT_CONFIG):
-    """(series_radius, elevation) of the path solve_sigma0 takes for
-    zeta != 0: it leaves the real axis at the series radius and rises to
-    Im t = config.elevation."""
-    return _Series(_as_zeta(zeta), config).radius(config), config.elevation
-
-
-def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
-                 positions=None, heights=()):
+def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG):
     """Integrate sigma0(t; zeta) with its log-integral up to path position
     t_max.
 
@@ -537,28 +510,17 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
     Im t = config.elevation and runs along it to t_max + i elevation
     (module docstring).  The trajectory is frozen; a longer path is a new
     solve.
-
-    With ``positions`` (path positions in [0, t_max]) it returns PathValues
-    instead: the log-integral at those positions and at the lift
-    ``heights`` between 0 and the elevation, read off the same pieces as
-    the trajectory's, with the same steps.
     """
     if not (np.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     z = _as_zeta(zeta)
     elevation = config.elevation
-    ser = _Series(z, config)
+    ser = _Series(z)
     # sigma0 vanishes identically at zeta = 0: the series serves any t_max
-    t0 = ser.radius(config) if z else t_max
-    if positions is not None:
-        positions = _checked(positions, t_max, "path positions")
-        if len(heights) and not t_max > t0:
-            raise ValueError("trajectory has no vertical segment")
-        heights = _checked(heights, elevation, "lift heights")
+    t0 = ser.radius() if z else t_max
     path = lift = None
     if t_max > t0:
-        state = tuple(complex(f(t0)) for f in (
-            ser.sigma, ser.sigma_prime, ser.sigma_pp, ser.log_integral))
+        state = tuple(complex(ser(t0, row)) for row in (0, 1, 2, -1))
         # one branch tracker for the whole integration: seeded by the
         # series sigma'' at t0, carried up the lift t = t0 + i tau and on
         # along the path
@@ -568,15 +530,9 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG,
         path, _ = _integrate(
             lambda x: complex(x, elevation), 1.0, (t0, t_max), state,
             config.truncation, f"the path for zeta = {z}")
-    traj = SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
+    return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
                            _series=ser, _path=path, _lift=lift,
                            _config=config)
-    if positions is None:
-        return traj
-    return PathValues(
-        t_grid=traj.t_grid, log_integral=traj._eval(positions, -1),
-        vertical_log_integral=np.empty(0, complex) if lift is None
-        else lift(heights, -1))
 
 
 def log_generating_function(zeta, lam: float,

@@ -58,8 +58,8 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .fredholm import DeterminantRequest, _nystrom_rule, sine_kernel_det
-from .painleve import (DEFAULT_CONFIG, SolverConfig, SolverError,
-                       path_geometry, series_sigma0, solve_sigma0)
+from .painleve import (DEFAULT_CONFIG, SERIES_ORDER, SolverConfig,
+                       SolverError, series_sigma0, solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
@@ -82,6 +82,8 @@ DENSITY_RTOL = 1e-6            # |Im P| / |P| of a returned spacing density
 #   omega = 0.002: 2.8e-9 against 3.2e-11;  0.005: 1.0e-9 against 6.4e-12;
 #   omega = 0.01: 1.1e-11 against 1.1e-11;  0.015: 2.4e-13 against 6.3e-12
 TAIL_OMEGA_MIN = 0.015
+PANEL_NODES = 32               # Gauss-Legendre nodes per sub-panel of the head
+ERR_CAP = 1e-6                 # an error estimate beyond this raises
 
 # the modules whose code computes S(omega); spectrum.npz is keyed by them
 _SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
@@ -96,15 +98,21 @@ class TruncationError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumConfig:
     backend: str = "painleve"      # or "fredholm"
-    panel_nodes: int = 32          # Gauss-Legendre nodes per sub-panel
     sub_len: float = 10.0          # max sub-panel length; resolves e^{+-i lam}
     omega_min: float = 0.05        # below this, the closed small-omega form
-    err_cap: float = 1e-6          # raise TruncationError beyond this
     solver: SolverConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
     def __post_init__(self):
         if self.backend not in ("painleve", "fredholm"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        # below omega_min S is power_spectrum_small_omega, valid up to 0.2;
+        # at 0 the interpolant's geometric panel edges never reach pi
+        if not (np.isfinite(self.omega_min) and 0.0 < self.omega_min <= 0.2):
+            raise ValueError(
+                f"omega_min must lie in (0, 0.2], got {self.omega_min}")
+        if not (np.isfinite(self.sub_len) and self.sub_len > 0.0):
+            raise ValueError(
+                f"sub_len must be finite and positive, got {self.sub_len}")
 
 
 DEFAULT_SPECTRUM_CONFIG = SpectrumConfig()
@@ -153,7 +161,7 @@ def _panel_rule(breaks, config: SpectrumConfig):
         if b > a:
             n = max(1, int(np.ceil((b - a) / config.sub_len)))
             edges.extend(np.linspace(a, b, n + 1)[1:])
-    gx, gw = _nystrom_rule(config.panel_nodes)
+    gx, gw = _nystrom_rule(PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     return ((half * (gx + 1.0) + np.array(edges[:-1])[:, None]).ravel(),
             (half * gw).ravel())
@@ -164,18 +172,17 @@ def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
     on [0, x_max] and values = exp L at its path positions x, on the real
     axis up to the series radius t0 and on Im t = elevation beyond it (exp L
     jumps at t0, so no panel straddles it); vertical is the integral over
-    the lift t = t0 + i tau in between.  The solve reports L at these nodes
-    only."""
-    zeta = 1.0 - np.exp(1j * omega)
-    t0, elevation = path_geometry(zeta, config.solver)
+    the lift t = t0 + i tau in between.  One solve to x_max; its trajectory
+    gives t0, the elevation and every value."""
+    traj = solve_sigma0(1.0 - np.exp(1j * omega), x_max, config.solver)
+    t0, elevation = traj.series_radius, traj.elevation
     x, w = _panel_rule([0.0, t0, TAIL_START, x_max], config)
-    gx, gw = _nystrom_rule(config.panel_nodes)
+    gx, gw = _nystrom_rule(PANEL_NODES)
     # contour piece t = t0 + i tau, dt = i dtau
     tau = 0.5 * elevation * (gx + 1.0)
-    at = solve_sigma0(zeta, x_max, config.solver, positions=x, heights=tau)
     vertical = 0.5 * elevation * np.sum(
-        gw * (1j * np.exp(at.vertical_log_integral)))
-    return x, w, np.exp(at.log_integral), vertical, elevation
+        gw * (1j * np.exp(traj.vertical_log_integral(tau))))
+    return x, w, np.exp(traj.eval_log_integral(x)), vertical, elevation
 
 
 def _fredholm_path(omega: float, x_max: float, config: SpectrumConfig):
@@ -276,7 +283,7 @@ def power_spectrum(omega: float,
     # values as the closed-form C_0 measures it, times the sensitivity
     # |integral exp L| of S to such an error
     err = (abs(tail.real - coarse.real) + drift * abs(total)) / np.pi
-    if err > config.err_cap:
+    if err > ERR_CAP:
         raise TruncationError(
             f"tail error estimate {err:.2e} for omega = {omega}")
     return total.real / np.pi, err
@@ -332,7 +339,7 @@ def spacing_distribution(s: float) -> float:
     if t > traj.series_radius:
         bracket = (sigma / t) ** 2 + sp / t - sigma / t ** 2
     else:   # sigma^2 + t sigma' - sigma = sum over n >= 4 of g_n t^n
-        c = series_sigma0(1.0, DEFAULT_CONFIG.series_order)
+        c = series_sigma0(1.0, SERIES_ORDER)
         n = np.arange(4, len(c) + 1)
         g = np.convolve(c, c)[n - 2] + (n - 1) * c[n - 1]
         bracket = np.sum(g * t ** (n - 2))

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numpy.polynomial.legendre import leggauss
-
-from spacingcov import painleve, spectral
+from spacingcov import painleve
 from spacingcov.fredholm import sine_kernel_det_auto
 from spacingcov.painleve import (BranchAmbiguityError, SolverConfig,
                                  SpectralParameter, log_generating_function,
-                                 path_geometry, series_sigma0, solve_sigma0)
+                                 series_sigma0, solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,7 +151,7 @@ class TestSolver:
     def test_solver_matches_series_inside_half_radius(self):
         traj = solve_sigma0(1.0 - np.exp(1j * 1.0), 5.0)
         t = 0.5 * traj.series_radius
-        ser = traj._series.sigma(t)
+        ser = traj._series(t, 0)
         assert abs(traj.eval_sigma(t)[0] - ser) < 1e-10
 
     def test_real_zeta_stays_real_and_negative(self):
@@ -219,7 +217,7 @@ class TestSolver:
         with pytest.raises(painleve.SolverError, match="nan") as info:
             solve_sigma0(z, 50.0)
         assert not isinstance(info.value, BranchAmbiguityError)
-        t0, _ = path_geometry(z)
+        t0 = painleve._Series(z).radius()
         assert len(ends) == 5
         assert abs(info.value.t_star - (t0 + sum(ends))) < 1e-12
 
@@ -255,17 +253,15 @@ class TestSolver:
                             traj.t_grid, np.linspace(0.1, t_max, 41)])
         x = np.random.default_rng(0).permutation(x)
 
-        def pointwise(row, series):
+        def pointwise(row):
             # one point at a time, from the Taylor piece that holds it
-            return np.array([series(np.array([xi]))[0]
+            return np.array([traj._series(np.array([xi]), row)[0]
                              if xi <= traj.series_radius
                              else traj._path(np.array([xi]), row)[0]
                              for xi in x])
 
-        assert np.array_equal(traj.eval_sigma(x),
-                              pointwise(0, traj._series.sigma))
-        assert np.array_equal(traj.eval_log_integral(x),
-                              pointwise(-1, traj._series.log_integral))
+        assert np.array_equal(traj.eval_sigma(x), pointwise(0))
+        assert np.array_equal(traj.eval_log_integral(x), pointwise(-1))
         # nothing is extrapolated beyond the integrated path
         for bad in (-1e-9, np.nextafter(t_max, np.inf), 2.0 * t_max, np.nan):
             for evaluate in (traj.eval_sigma, traj.eval_log_integral,
@@ -280,6 +276,14 @@ class TestSolver:
         for bad in (1.5 * traj.elevation, -0.3 * traj.elevation):
             with pytest.raises(ValueError):
                 traj.vertical_log_integral(bad)
+        # a solve that ends inside the series radius takes no step, reads
+        # L from the series and has no lift
+        short = solve_sigma0(z, 0.1)
+        assert np.array_equal(short.t_grid, [0.0])
+        assert np.array_equal(short.eval_log_integral([0.05, 0.1]),
+                              short._series(np.array([0.05, 0.1]), -1))
+        with pytest.raises(ValueError):
+            short.vertical_log_integral([-1.0])
 
     @pytest.mark.parametrize("omega", [2.8, np.pi])
     def test_lifted_descent_below_t_max(self, omega):
@@ -294,41 +298,6 @@ class TestSolver:
                 L = traj.log_integral_real_axis(lam)
                 assert abs(np.exp(L) - det) < 1e-8
 
-
-    @pytest.mark.parametrize("omega", [1.0, 3.0], ids=["real", "lifted"])
-    def test_node_values_match_dense_solution(self, omega):
-        # asked for in advance, L at the spectrum's quadrature nodes and
-        # lift heights is read off the same steps as the dense solution
-        z = 1.0 - np.exp(1j * omega)
-        t0, elevation = path_geometry(z)
-        config = spectral.DEFAULT_SPECTRUM_CONFIG
-        x, _ = spectral._panel_rule(
-            [0.0, t0, spectral.TAIL_START, spectral.TAIL_START], config)
-        tau = 0.5 * elevation * (leggauss(config.panel_nodes)[0] + 1.0)
-        x = np.random.default_rng(1).permutation(x)
-        at = solve_sigma0(z, spectral.TAIL_START, positions=x, heights=tau)
-        traj = solve_sigma0(z, spectral.TAIL_START)
-        assert traj.elevation == elevation
-        assert np.array_equal(at.t_grid, traj.t_grid)
-        assert np.array_equal(at.log_integral, traj.eval_log_integral(x))
-        assert np.array_equal(at.vertical_log_integral,
-                              traj.vertical_log_integral(tau))
-
-    def test_node_positions_are_checked(self):
-        z = 1.0 - np.exp(3.0j)
-        # lift heights lie between 0 and the elevation
-        beyond = 1.25 * painleve.DEFAULT_CONFIG.elevation
-        for positions, heights in (([1.0, 5.5], ()), ([1.0], [1.5]),
-                                   ([1.0], [beyond]), ([np.nan], ())):
-            with pytest.raises(ValueError):
-                solve_sigma0(z, 5.0, positions=positions, heights=heights)
-        # inside the series radius no step is taken, and there is no lift
-        with pytest.raises(ValueError):
-            solve_sigma0(z, 0.1, positions=[0.05], heights=[-1.0])
-        at = solve_sigma0(z, 0.1, positions=[0.05, 0.1])
-        assert np.array_equal(at.t_grid, [0.0])
-        assert np.array_equal(at.log_integral,
-                              solve_sigma0(z, 0.1).eval_log_integral([0.05, 0.1]))
 
     def test_step_budget_near_pi(self):
         # at omega = 3 the poles of sigma lie on or just above the real
@@ -393,7 +362,8 @@ class TestBranchChoice:
         monkeypatch.setattr(painleve, "_state_at", turned)
         with pytest.raises(BranchAmbiguityError) as info:
             solve_sigma0(z, 20.0)       # 15 steps along the path, unturned
-        t0, elevation = path_geometry(z)
+        t0 = painleve._Series(z).radius()
+        elevation = painleve.DEFAULT_CONFIG.elevation
         assert len(ends) == 10
         assert abs(info.value.t_star - complex(t0 + sum(ends), elevation)) < 1e-12
 
@@ -412,10 +382,11 @@ class TestBranchChoice:
         # a lifted solve whose seed sigma'' is turned a quarter turn away
         # from both roots stops at the foot of the lift
         z = 1.0 - np.exp(3.0j)
-        t0, _ = path_geometry(z)
-        sigma_pp = painleve._Series.sigma_pp
-        monkeypatch.setattr(painleve._Series, "sigma_pp",
-                            lambda self, t: 1j * sigma_pp(self, t))
+        t0 = painleve._Series(z).radius()
+        series = painleve._Series.__call__
+        monkeypatch.setattr(
+            painleve._Series, "__call__", lambda self, t, row:
+            1j * series(self, t, row) if row == 2 else series(self, t, row))
         with pytest.raises(BranchAmbiguityError) as info:
             solve_sigma0(z, 5.0)
         assert info.value.t_star == t0

@@ -140,6 +140,23 @@ class TestPowerSpectrum:
             with pytest.raises(ValueError):
                 power_spectrum(omega)
 
+    @pytest.mark.parametrize("bad", [
+        {"omega_min": 0.0}, {"omega_min": -0.05}, {"omega_min": 0.25},
+        {"omega_min": np.nan}, {"omega_min": np.inf}, {"sub_len": 0.0},
+        {"sub_len": -1.0}, {"sub_len": np.nan}, {"sub_len": np.inf},
+        {"backend": "nystrom"}], ids=str)
+    def test_config_rejects_bad_values(self, bad):
+        # unchecked, omega_min = 0 grows the interpolant's panel edges
+        # without end, and sub_len = -1 gives one head panel and a
+        # misleading TruncationError
+        with pytest.raises(ValueError):
+            SpectrumConfig(**bad)
+
+    def test_config_accepts_range_ends(self):
+        # 0.2 is the largest omega power_spectrum_small_omega accepts
+        assert SpectrumConfig(omega_min=0.2).omega_min == 0.2
+        assert SpectrumConfig(omega_min=1e-4, sub_len=1e-3).sub_len == 1e-3
+
     def test_below_omega_min_uses_closed_form(self):
         val, err = power_spectrum(0.02)
         assert val == power_spectrum_small_omega(0.02)
@@ -293,7 +310,8 @@ def _spy_tail(monkeypatch):
 
 class TestBuiltOncePerOmega:
     def test_series_built_once(self, monkeypatch):
-        # the series radius and the solve share one sigma0 series
+        # one solve builds the sigma0 series once: its radius and its
+        # values read the same coefficients
         builds = []
         build = painleve._series_coeffs.__wrapped__
 
@@ -303,7 +321,7 @@ class TestBuiltOncePerOmega:
         monkeypatch.setattr(painleve, "_series_coeffs",
                             lru_cache(maxsize=64)(recording))
         power_spectrum(0.7)
-        assert builds == [(1.0 - np.exp(0.7j), SolverConfig().series_order)]
+        assert builds == [(1.0 - np.exp(0.7j), painleve.SERIES_ORDER)]
 
     def test_rule_built_once(self, monkeypatch):
         # the head's panels and the lift share one Gauss-Legendre rule,
@@ -319,7 +337,7 @@ class TestBuiltOncePerOmega:
             fredholm._nystrom_rule.__wrapped__))
         power_spectrum(0.7)
         power_spectrum(2.9)
-        assert sizes == [spectral.DEFAULT_SPECTRUM_CONFIG.panel_nodes]
+        assert sizes == [spectral.PANEL_NODES]
 
 
 class TestTailClosure:
