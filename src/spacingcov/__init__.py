@@ -18,34 +18,30 @@ from .autocov import (AutocovSeries, autocov_asymptotic, autocov_asymptotic_ci,
                       sum_rule_residual)
 from .fredholm import (DeterminantRequest, gap_probability, sine_kernel_det,
                        sine_kernel_det_auto)
-from .painleve import (SigmaTrajectory, SolverConfig, SpectralParameter,
-                       log_generating_function, series_sigma0, solve_sigma0)
+from .painleve import (SigmaTrajectory, SolverConfig, log_generating_function,
+                       series_sigma0, solve_sigma0)
 from .spectral import (PowerSpectrumTable, SpectrumConfig, SpectrumInterpolant,
-                       eig_spectrum_from_sp, power_spectrum,
-                       power_spectrum_small_omega, spacing_distribution)
+                       power_spectrum, power_spectrum_small_omega,
+                       spacing_distribution)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AutocovSeries", "CueBatch", "DeterminantRequest", "MCConfig",
     "MCEstimate", "PowerSpectrumTable", "SigmaTrajectory", "SolverConfig",
-    "SpectralParameter", "SpectrumConfig", "SpectrumInterpolant",
-    "aggregate", "autocov_asymptotic", "autocov_asymptotic_ci",
-    "autocov_dyson", "autocov_exact", "autocov_series_exact",
-    "eig_spectrum_from_sp",
-    "finite_n_power_spectra", "gap_probability",
-    "log_generating_function", "number_variance", "ordered_level_variance",
-    "power_spectrum", "power_spectrum_small_omega", "running_autocov",
-    "sample_cue_eigenangles", "series_sigma0", "sine_kernel_det",
-    "sine_kernel_det_auto", "solve_sigma0", "spacing_distribution",
-    "sum_rule_residual", "unfold",
+    "SpectrumConfig", "SpectrumInterpolant", "aggregate",
+    "autocov_asymptotic", "autocov_asymptotic_ci", "autocov_dyson",
+    "autocov_exact", "autocov_series_exact", "finite_n_power_spectra",
+    "gap_probability", "log_generating_function", "power_spectrum",
+    "power_spectrum_small_omega", "sample_cue_eigenangles", "series_sigma0",
+    "sine_kernel_det", "sine_kernel_det_auto", "solve_sigma0",
+    "spacing_distribution", "sum_rule_residual", "unfold",
 ]
 
 # montecarlo imports scipy.linalg, which the exact route does not need
 _MONTECARLO_NAMES = frozenset({
     "CueBatch", "MCConfig", "MCEstimate", "aggregate",
-    "finite_n_power_spectra", "number_variance", "ordered_level_variance",
-    "running_autocov", "sample_cue_eigenangles", "unfold"})
+    "finite_n_power_spectra", "sample_cue_eigenangles", "unfold"})
 
 
 def __getattr__(name):

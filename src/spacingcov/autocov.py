@@ -63,7 +63,6 @@ class AutocovSeries:
     k_max: int
     values: np.ndarray
     backend: str                      # exact | dyson | asymptotic | asymptotic_ci | montecarlo
-    uncertainty: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -71,13 +70,6 @@ class AutocovSeries:
             raise ValueError("values must have length k_max + 1")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite autocovariance values")
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k,backend,value,uncertainty\n")
-            for k, v in enumerate(self.values):
-                u = "" if self.uncertainty is None else f"{self.uncertainty[k]:.17g}"
-                fh.write(f"{k},{self.backend},{v:.17g},{u}\n")
 
 
 def autocov_exact(k: int, spectrum: SpectrumInterpolant) -> float:

@@ -248,15 +248,6 @@ def unfold(batch: CueBatch, mean_spacings: np.ndarray) -> CueBatch:
                     batch.raw_spacings / delta)
 
 
-def running_autocov(sample: np.ndarray, k: int) -> float:
-    """Energy average (1/(n-k)) sum_l (s_l s_{l+k} - 1) over one sample."""
-    s = np.asarray(sample, dtype=float)
-    n = s.size
-    if not (0 <= k <= n - 1):
-        raise ValueError(f"lag {k} out of range for {n} spacings")
-    return float(np.mean(s[:n - k] * s[k:]) - 1.0)
-
-
 @dataclass
 class MCEstimate:
     """Sample-averaged lagged covariances with 99% half-widths."""
@@ -267,28 +258,11 @@ class MCEstimate:
     N: int
     M: int
     seed: int | None = None
-    confidence: float = 0.99
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k,mean,std,half_width,N,M,seed\n")
-            seed = "" if self.seed is None else str(self.seed)
-            for k, (v, s, h) in enumerate(
-                    zip(self.values, self.sample_std, self.half_widths)):
-                fh.write(f"{k},{v:.17g},{s:.17g},{h:.17g},"
-                         f"{self.N},{self.M},{seed}\n")
 
 
-def confidence_factor(confidence: float = 0.99) -> float:
-    if confidence == 0.99:
-        return C_99
-    from scipy.special import ndtri      # loaded only for other levels
-    return float(ndtri(0.5 + 0.5 * confidence))
-
-
-def aggregate(per_sample, confidence: float = 0.99, N: int = 0,
-              seed: int | None = None) -> MCEstimate:
-    """Mean, unbiased std, and c * std / sqrt(M) half-widths over samples.
+def aggregate(per_sample) -> MCEstimate:
+    """Mean, unbiased std, and C_99 * std / sqrt(M) half-widths over
+    samples, with N = 0: the samples carry no matrix size.
 
     ``per_sample`` is (M,) or (M, K+1); rows are independent samples.
     """
@@ -300,8 +274,8 @@ def aggregate(per_sample, confidence: float = 0.99, N: int = 0,
         raise ValueError("need at least 2 samples")
     mean = x.mean(axis=0)
     std = x.std(axis=0, ddof=1)
-    half = confidence_factor(confidence) * std / np.sqrt(M)
-    return MCEstimate(mean, std, half, N, M, seed, confidence)
+    half = C_99 * std / np.sqrt(M)
+    return MCEstimate(mean, std, half, 0, M)
 
 
 # ---------------------------------------------------------------------------
@@ -498,39 +472,6 @@ def _load_checkpoint(path, config: MCConfig) -> _Accumulators:
             data["sum_s"], data["cross"],
             [data[f"prod_sq_{k}"] for k in range(config.k_max + 1)],
             data["chunk_lead_cross"], int(data["next_chunk"]))
-
-
-# ---------------------------------------------------------------------------
-# level statistics on ensembles
-
-def ordered_level_variance(unfolded_spacings: np.ndarray, k: int):
-    """(var(lambda_k), second difference) across an in-memory ensemble."""
-    s = np.asarray(unfolded_spacings, dtype=float)
-    if not (1 <= k <= s.shape[1] - 1):
-        raise ValueError("k out of range")
-    lam = np.cumsum(s, axis=1)
-    v = lam.var(axis=0, ddof=1)
-    second = (0.5 * (v[k] - 2.0 * v[k - 1] + v[k - 2]) if k >= 2 else np.nan)
-    return float(v[k - 1]), float(second)
-
-
-def number_variance(levels: np.ndarray, L: float) -> float:
-    """Variance of the level count in windows of length L (pooled over
-    non-overlapping bulk windows and samples)."""
-    lam = np.asarray(levels, dtype=float)
-    span = lam.shape[1]
-    if not (0 < L <= span / 4):
-        raise ValueError("L out of range (must be <= span/4)")
-    starts = np.arange(L, span - 2 * L, L)
-    if starts.size == 0:
-        raise ValueError("no complete windows for this L")
-    counts = []
-    for row in lam:
-        left = np.searchsorted(row, starts)
-        right = np.searchsorted(row, starts + L)
-        counts.append(right - left)
-    counts = np.concatenate(counts).astype(float)
-    return float(counts.var())
 
 
 @dataclass

@@ -109,27 +109,6 @@ class BranchAmbiguityError(SolverError):
 
 
 @dataclass(frozen=True)
-class SpectralParameter:
-    """Point zeta = 1 - e^{i omega} on the circle |1 - zeta| = 1."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise ValueError("omega must be finite")
-        if not (0.0 <= self.omega <= np.pi):
-            raise ValueError(f"omega must lie in [0, pi], got {self.omega}")
-
-    @property
-    def zeta(self) -> complex:
-        return 1.0 - np.exp(1j * self.omega)
-
-    @property
-    def z(self) -> complex:
-        return np.exp(1j * self.omega)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     # a Taylor step's last two terms of sigma and of L stay below this
     truncation: float = 1e-19
@@ -157,8 +136,6 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 def _as_zeta(zeta) -> complex:
-    if isinstance(zeta, SpectralParameter):
-        return zeta.zeta
     z = complex(zeta)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ValueError("zeta must be finite")
@@ -398,8 +375,8 @@ def _checked(x, end: float, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SigmaTrajectory:
     """sigma0 along a path in the t-plane, with its accumulated log-integral:
-    the frozen result of one integration.  The spectrum's quadrature, the
-    descents to the real axis and the debug dump all read it.
+    the frozen result of one integration.  The spectrum's quadrature and
+    the descents to the real axis read it.
 
     The truncated power series is authoritative up to ``series_radius``.
     Beyond it the Taylor pieces of the path run in path position x up to
@@ -472,35 +449,6 @@ class SigmaTrajectory:
         """Log-integral at the real point t = lam (real_axis_state's L)."""
         return self.real_axis_state(lam)[3]
 
-    # -- residual diagnostics ---------------------------------------------
-
-    def residual(self, x) -> np.ndarray:
-        """|(t s'')^2 + f (f + 4 s'^2)| / max(1, |s|^2) along the path.
-
-        sigma'' is re-derived by differentiating sigma' with central
-        differences, independently of the branch selection.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        # (t sigma'')^2 is large off the real axis, so the stencil must
-        # deliver sigma'' to ~1e-11: a wide 7-point rule keeps the state
-        # noise averaged down while its h^6 truncation stays negligible
-        h = 4e-3
-        out = np.empty(x.shape)
-        for i, xi in enumerate(x):
-            t = xi + 1j * self.elevation if xi > self.series_radius else xi
-            s, sp = self._eval(xi, 0)[0], self._eval(xi, 1)[0]
-            if xi > 3 * h + 1e-3:
-                vals = self._eval(xi + h * np.array([-3, -2, -1, 1, 2, 3]), 1)
-                spp_fd = np.dot([-1, 9, -45, 45, -9, 1], vals) / (60.0 * h)
-            else:
-                lo = max(xi - h, 1e-3)
-                sp_lo, sp_hi = self._eval([lo, xi + h], 1)
-                spp_fd = (sp_hi - sp_lo) / (xi + h - lo)
-            f = t * sp - s
-            g = (t * spp_fd) ** 2 + f * (f + 4.0 * sp * sp)
-            out[i] = abs(g) / max(1.0, abs(s) ** 2)
-        return out
-
 
 def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG):
     """Integrate sigma0(t; zeta) with its log-integral up to path position
@@ -550,16 +498,3 @@ def log_generating_function(zeta, lam: float,
     if z == 0:
         return 0j
     return solve_sigma0(z, max(lam, 1.0), config).log_integral_real_axis(lam)
-
-
-def dump_trajectory_csv(traj: SigmaTrajectory, path):
-    """Debug dump at the accepted integration steps: the path position x
-    (column t: 0, then the end of every step), Re sigma, Im sigma,
-    Re log-integral and Im log-integral.  Beyond the series radius the
-    values are those at t = x + i elevation, on the path, not on the real
-    axis."""
-    t = traj.t_grid
-    sigma, logint = traj.eval_sigma(t), traj.eval_log_integral(t)
-    rows = np.column_stack([t, sigma.real, sigma.imag, logint.real, logint.imag])
-    np.savetxt(path, rows, delimiter=",",
-               header="t,re_sigma,im_sigma,re_logint,im_logint", comments="")

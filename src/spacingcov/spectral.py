@@ -40,8 +40,8 @@ which such a relative error reaches S; at small omega that factor is about
 1/v.
 
 Also here: the small-omega closed form, the spacing density P(s) from the
-zeta = 1 trajectory, the spacings-to-eigenlevels spectrum transform, and a
-piecewise-Chebyshev interpolant of S(omega) used by the Fourier inversion.
+zeta = 1 trajectory, and a piecewise-Chebyshev interpolant of S(omega) used
+by the Fourier inversion.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ DENSITY_RTOL = 1e-6            # |Im P| / |P| of a returned spacing density
 #   omega = 0.002: 2.8e-9 against 3.2e-11;  0.005: 1.0e-9 against 6.4e-12;
 #   omega = 0.01: 1.1e-11 against 1.1e-11;  0.015: 2.4e-13 against 6.3e-12
 TAIL_OMEGA_MIN = 0.015
+SMALL_OMEGA_MAX = 0.2          # the closed small-omega form serves (0, this]
 PANEL_NODES = 32               # Gauss-Legendre nodes per sub-panel of the head
 ERR_CAP = 1e-6                 # an error estimate beyond this raises
 
@@ -105,11 +106,12 @@ class SpectrumConfig:
     def __post_init__(self):
         if self.backend not in ("painleve", "fredholm"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        # below omega_min S is power_spectrum_small_omega, valid up to 0.2;
-        # at 0 the interpolant's geometric panel edges never reach pi
-        if not (np.isfinite(self.omega_min) and 0.0 < self.omega_min <= 0.2):
-            raise ValueError(
-                f"omega_min must lie in (0, 0.2], got {self.omega_min}")
+        # below omega_min S is power_spectrum_small_omega; at 0 the
+        # interpolant's geometric panel edges never reach pi
+        if not (np.isfinite(self.omega_min)
+                and 0.0 < self.omega_min <= SMALL_OMEGA_MAX):
+            raise ValueError(f"omega_min must lie in (0, {SMALL_OMEGA_MAX}], "
+                             f"got {self.omega_min}")
         if not (np.isfinite(self.sub_len) and self.sub_len > 0.0):
             raise ValueError(
                 f"sub_len must be finite and positive, got {self.sub_len}")
@@ -289,28 +291,15 @@ def power_spectrum(omega: float,
     return total.real / np.pi, err
 
 
-def power_spectrum_small_omega(omega, validity_max: float = 0.2):
-    """Closed small-omega form omega/2pi + (omega^3/4pi^3) log(omega/2pi);
-    elementwise for arrays."""
+def power_spectrum_small_omega(omega):
+    """Closed small-omega form omega/2pi + (omega^3/4pi^3) log(omega/2pi)
+    on (0, SMALL_OMEGA_MAX]; elementwise for arrays."""
     w = np.asarray(omega, dtype=float)
-    if not np.all((0.0 < w) & (w <= validity_max)):
+    if not np.all((0.0 < w) & (w <= SMALL_OMEGA_MAX)):
         raise ValueError(
-            f"small-omega form valid on (0, {validity_max}], got {omega}")
+            f"small-omega form valid on (0, {SMALL_OMEGA_MAX}], got {omega}")
     val = w / TWO_PI + w ** 3 / (4.0 * np.pi ** 3) * np.log(w / TWO_PI)
     return float(val) if val.ndim == 0 else val
-
-
-def eig_spectrum_from_sp(omega: float,
-                         config: SpectrumConfig = DEFAULT_SPECTRUM_CONFIG) -> float:
-    """Eigenlevel power spectrum S(omega) / (4 sin^2(omega/2)).
-
-    The spacing-spectrum value at omega = 0 drops out by the sum rule
-    (zero level compressibility).
-    """
-    if not (0.0 < omega <= np.pi + 1e-12):
-        raise ValueError(f"omega must lie in (0, pi], got {omega}")
-    value, _ = power_spectrum(omega, config)
-    return value / (4.0 * np.sin(0.5 * omega) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +363,6 @@ class PowerSpectrumTable:
         for i, w in enumerate(omegas):
             vals[i], errs[i] = power_spectrum(float(w), config)
         return cls(omegas, vals, errs, config.backend)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("omega,S,err,backend\n")
-            for w, v, e in zip(self.omegas, self.values, self.err_estimates):
-                fh.write(f"{w:.17g},{v:.17g},{e:.17g},{self.backend}\n")
 
 
 def _cache_key(config: SpectrumConfig) -> str:

@@ -320,11 +320,3 @@ class TestSeriesAndSumRule:
         res = sum_rule_residual(50, series)
         corrected = res - dyson_tail_estimate(50)
         assert abs(corrected) < 0.1 * abs(res)
-
-    def test_csv_roundtrip(self, tmp_path, exact_series):
-        series = AutocovSeries(50, exact_series, "exact")
-        path = tmp_path / "autocov.csv"
-        series.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,backend,value,uncertainty"
-        assert len(lines) == 52

@@ -6,28 +6,38 @@ from hypothesis import strategies as st
 from spacingcov import painleve
 from spacingcov.fredholm import sine_kernel_det_auto
 from spacingcov.painleve import (BranchAmbiguityError, SolverConfig,
-                                 SpectralParameter, log_generating_function,
-                                 series_sigma0, solve_sigma0)
+                                 log_generating_function, series_sigma0,
+                                 solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
 
-class TestSpectralParameter:
-    def test_zeta_on_circle(self):
-        for omega in (0.1, 1.0, np.pi / 2, np.pi):
-            p = SpectralParameter(omega)
-            assert abs(abs(1.0 - p.zeta) - 1.0) < 1e-15
+def residual(traj, x) -> np.ndarray:
+    """|(t s'')^2 + f (f + 4 s'^2)| / max(1, |s|^2) along the path of traj.
 
-    def test_omega_zero_maps_to_zero(self):
-        assert SpectralParameter(0.0).zeta == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SpectralParameter(-0.1)
-        with pytest.raises(ValueError):
-            SpectralParameter(np.pi + 0.1)
-        with pytest.raises(ValueError):
-            SpectralParameter(float("nan"))
+    sigma'' is re-derived by differentiating sigma' with central
+    differences, independently of the branch selection.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    # (t sigma'')^2 is large off the real axis, so the stencil must
+    # deliver sigma'' to ~1e-11: a wide 7-point rule keeps the state
+    # noise averaged down while its h^6 truncation stays negligible
+    h = 4e-3
+    out = np.empty(x.shape)
+    for i, xi in enumerate(x):
+        t = xi + 1j * traj.elevation if xi > traj.series_radius else xi
+        s, sp = traj._eval(xi, 0)[0], traj._eval(xi, 1)[0]
+        if xi > 3 * h + 1e-3:
+            vals = traj._eval(xi + h * np.array([-3, -2, -1, 1, 2, 3]), 1)
+            spp_fd = np.dot([-1, 9, -45, 45, -9, 1], vals) / (60.0 * h)
+        else:
+            lo = max(xi - h, 1e-3)
+            sp_lo, sp_hi = traj._eval([lo, xi + h], 1)
+            spp_fd = (sp_hi - sp_lo) / (xi + h - lo)
+        f = t * sp - s
+        g = (t * spp_fd) ** 2 + f * (f + 4.0 * sp * sp)
+        out[i] = abs(g) / max(1.0, abs(s) ** 2)
+    return out
 
 
 class TestSeries:
@@ -174,14 +184,14 @@ class TestSolver:
 
     def test_residual_below_tolerance(self):
         traj = solve_sigma0(1.0 - np.exp(1j * 2.0), 20.0)
-        res = traj.residual(np.linspace(1.0, 19.0, 12))
+        res = residual(traj, np.linspace(1.0, 19.0, 12))
         assert np.max(res) < 1e-9
 
     def test_residual_on_elevated_path(self):
         # zeta = 2 is omega = pi: the default path runs below the axis
         traj = solve_sigma0(2.0, 20.0)
         assert traj.elevation == painleve.DEFAULT_CONFIG.elevation < 0
-        res = traj.residual(np.linspace(1.0, 19.0, 8))
+        res = residual(traj, np.linspace(1.0, 19.0, 8))
         assert np.max(res) < 1e-9
 
     def test_rejects_bad_t_max(self):
@@ -235,14 +245,6 @@ class TestSolver:
         for elevation in (-2.0, 1.0):
             assert SolverConfig(elevation=elevation).elevation == elevation
 
-    def test_csv_dump(self, tmp_path):
-        from spacingcov.painleve import dump_trajectory_csv
-        traj = solve_sigma0(1.0, 3.0)
-        path = tmp_path / "traj.csv"
-        dump_trajectory_csv(traj, path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (len(traj.t_grid), 5)
-
     @pytest.mark.parametrize("omega, t_max", [(1.3, 30.0), (3.0, 20.0)],
                              ids=["real", "lifted"])
     def test_vectorized_evaluators_match_pointwise(self, omega, t_max):
@@ -265,7 +267,7 @@ class TestSolver:
         # nothing is extrapolated beyond the integrated path
         for bad in (-1e-9, np.nextafter(t_max, np.inf), 2.0 * t_max, np.nan):
             for evaluate in (traj.eval_sigma, traj.eval_log_integral,
-                             traj.log_integral_real_axis, traj.residual):
+                             traj.log_integral_real_axis):
                 with pytest.raises(ValueError):
                     evaluate(bad)
             with pytest.raises(ValueError):

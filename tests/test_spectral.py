@@ -11,8 +11,8 @@ from numpy.polynomial.chebyshev import chebval
 from spacingcov import fredholm, painleve, spectral
 from spacingcov.painleve import SolverConfig
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
-                                 SpectrumInterpolant, eig_spectrum_from_sp,
-                                 power_spectrum, power_spectrum_small_omega,
+                                 SpectrumInterpolant, power_spectrum,
+                                 power_spectrum_small_omega,
                                  spacing_distribution)
 
 TWO_PI = 2.0 * np.pi
@@ -530,32 +530,11 @@ class TestSpacingDistribution:
             spacing_distribution(s)
 
 
-class TestEigSpectrum:
-    def test_band_edge_value(self):
-        assert eig_spectrum_from_sp(np.pi) == pytest.approx(
-            power_spectrum(np.pi)[0] / 4.0, rel=1e-12, abs=0)
-
-    def test_small_omega_divergence(self):
-        # behaves as 1/(2 pi omega) as omega -> 0
-        omega = 0.06
-        val = eig_spectrum_from_sp(omega)
-        assert val == pytest.approx(1.0 / (TWO_PI * omega), rel=0.05)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            eig_spectrum_from_sp(0.0)
-
-
 class TestTable:
-    def test_build_and_csv(self, tmp_path):
+    def test_build(self):
         table = PowerSpectrumTable.build([0.5, 1.0, 2.0])
         assert np.all(table.values > 0)
         assert np.all(np.isfinite(table.values))
-        path = tmp_path / "spec.csv"
-        table.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1,
-                          usecols=(0, 1, 2))
-        assert data.shape == (3, 3)
 
     def test_low_end_consistent_with_small_omega_form(self):
         table = PowerSpectrumTable.build([0.08, 0.12])
