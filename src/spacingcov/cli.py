@@ -66,19 +66,15 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(args, name, builtin, cast):
-    val = getattr(args, name, None)
-    if val is not None:
-        return val
-    if args.config_values and name in args.config_values:
-        return cast(args.config_values[name])
-    return builtin
+def _given(**values) -> dict:
+    """The values a flag or the config file set; the library's defaults
+    stand for the rest."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _threads(args) -> int:
-    t = _resolve(args, "threads", None, int)
-    if t is not None:
-        return t
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get("SPACINGCOV_THREADS")
     return int(env) if env else (os.cpu_count() or 1)
 
@@ -87,15 +83,13 @@ def _threads(args) -> int:
 # subcommands
 
 def cmd_spectrum(args) -> int:
-    omega_min = _resolve(args, "omega_min", 0.1, float)
-    omega_max = _resolve(args, "omega_max", float(np.pi), float)
-    points = _resolve(args, "points", 32, int)
-    backend = _resolve(args, "backend", "painleve", str)
-    if points < 1 or not (0.0 < omega_min <= omega_max <= np.pi + 1e-12):
+    omega_min, omega_max = args.omega_min, args.omega_max
+    if args.points < 1 or not (0.0 < omega_min <= omega_max <= np.pi + 1e-12):
         print("spectrum: empty or invalid omega grid", file=sys.stderr)
         return 2
-    omegas = np.linspace(omega_min, omega_max, points)
-    table = PowerSpectrumTable.build(omegas, SpectrumConfig(backend=backend))
+    omegas = np.linspace(omega_min, omega_max, args.points)
+    table = PowerSpectrumTable.build(
+        omegas, SpectrumConfig(**_given(backend=args.backend)))
     rows = [(w, v, e, table.backend) for w, v, e in
             zip(table.omegas, table.values, table.err_estimates)]
     _write_rows(args.out, args.format, "spectrum",
@@ -104,12 +98,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_autocov(args) -> int:
-    k_max = _resolve(args, "k_max", 40, int)
-    backend = _resolve(args, "backend", "painleve", str)
+    k_max = args.k_max
     if not 1 <= k_max <= ac.K_CAP:
         print(f"autocov: k_max must lie in [1, {ac.K_CAP}]", file=sys.stderr)
         return 2
-    interp = SpectrumInterpolant.build(SpectrumConfig(backend=backend))
+    interp = SpectrumInterpolant.build(
+        SpectrumConfig(**_given(backend=args.backend)))
     series = ac.autocov_series_exact(k_max, interp)
     rows = []
     for k, exact in enumerate(series.values):
@@ -128,12 +122,8 @@ def cmd_autocov(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     from . import montecarlo as mc       # scipy.linalg loads only here
-    config = mc.MCConfig(
-        N=_resolve(args, "n", 256, int),
-        M=_resolve(args, "m", 100_000, int),
-        seed=_resolve(args, "seed", 1, int),
-        k_max=_resolve(args, "k_max", 12, int),
-        sampler=_resolve(args, "sampler", "sparse_cmv", str))
+    config = mc.MCConfig(**_given(N=args.n, M=args.m, seed=args.seed,
+                                  k_max=args.k_max, sampler=args.sampler))
     result = mc.run(config, checkpoint_path=args.checkpoint,
                     resume=args.resume, threads=_threads(args))
     est = result.estimate
@@ -172,7 +162,7 @@ def cmd_figure1(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config_values=None) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spacingcov",
         description="Auto-covariances of Sine_2 level spacings: exact, "
@@ -182,14 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="tabulate the spacing power spectrum")
-    sp.add_argument("--omega-min", type=float, dest="omega_min")
-    sp.add_argument("--omega-max", type=float, dest="omega_max")
-    sp.add_argument("--points", type=int)
+    sp.add_argument("--omega-min", type=float, dest="omega_min", default=0.1)
+    sp.add_argument("--omega-max", type=float, dest="omega_max",
+                    default=float(np.pi))
+    sp.add_argument("--points", type=int, default=32)
     sp.add_argument("--backend", choices=["painleve", "fredholm"])
     sp.set_defaults(func=cmd_spectrum)
 
     av = sub.add_parser("autocov", help="auto-covariance table, all backends")
-    av.add_argument("--k-max", type=int, dest="k_max")
+    av.add_argument("--k-max", type=int, dest="k_max", default=40)
     av.add_argument("--backend", choices=["painleve", "fredholm"])
     av.set_defaults(func=cmd_autocov)
 
@@ -209,21 +200,26 @@ def build_parser() -> argparse.ArgumentParser:
     f1.add_argument("--mc-file", required=True, dest="mc_file")
     f1.set_defaults(func=cmd_figure1)
 
+    # a config file's values are the defaults of the flags they name:
+    # argparse converts them as it does a flag's, and a given flag wins
+    values = config_values or {}
     for s in (sp, av, mo, f1):
         s.add_argument("--out", default="-", help="output path ('-' = stdout)")
         s.add_argument("--format", choices=["csv", "json"], default="csv")
+        s.set_defaults(**{a.dest: values[a.dest] for a in s._actions
+                          if a.nargs != 0 and a.dest in values})
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args.config_values = (_load_config_file(args.config)
-                              if args.config else {})
-    except (ValueError, OSError) as exc:
-        print(f"config: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
+    if args.config:
+        try:
+            values = _load_config_file(args.config)
+        except (ValueError, OSError) as exc:
+            print(f"config: {exc}", file=sys.stderr)
+            return 2
+        args = build_parser(values).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

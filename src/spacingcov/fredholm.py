@@ -7,8 +7,8 @@ oracle for the Painlevé route: det(I - zeta K_{lam/2pi}) must equal
 exp(integral_0^lam sigma0(t; zeta)/t dt).
 
 The kernel is entire, so a Gauss-Legendre Nystrom discretization converges
-spectrally; the node count is doubled until two successive determinants
-agree to the requested tolerance.
+spectrally; the node count is doubled from START_NODES, at most to
+MAX_NODES, until two successive determinants agree to DET_TOL.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+DET_TOL, START_NODES, MAX_NODES = 1e-12, 40, 640
 
 
 class ConvergenceError(RuntimeError):
@@ -74,41 +76,30 @@ def sine_kernel_det(req: DeterminantRequest) -> complex:
     return sign * np.exp(logdet)
 
 
-def sine_kernel_det_auto(zeta, interval_length, tol: float = 1e-12,
-                         start_nodes: int = 40, max_nodes: int = 640) -> complex:
+def sine_kernel_det_auto(zeta, interval_length) -> complex:
     """Node-doubling wrapper: return the determinant once two successive
-    node counts agree to `tol` (absolute)."""
-    n = start_nodes
+    node counts agree to DET_TOL (absolute)."""
+    n = START_NODES
     prev = sine_kernel_det(DeterminantRequest(zeta, interval_length, n))
-    while 2 * n <= max_nodes:
+    while 2 * n <= MAX_NODES:
         n *= 2
         cur = sine_kernel_det(DeterminantRequest(zeta, interval_length, n))
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < DET_TOL:
             return cur
         prev = cur
     raise ConvergenceError(
-        f"determinant not converged to {tol} at {max_nodes} nodes "
+        f"determinant not converged to {DET_TOL} at {MAX_NODES} nodes "
         f"(s = {interval_length}, zeta = {zeta})")
 
 
-def gap_probability(s: float, tol: float = 1e-12) -> float:
+def gap_probability(s: float) -> float:
     """Probability of no Sine_2 level in an interval of length s."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if s == 0:
         return 1.0
-    det = sine_kernel_det_auto(1.0, s, tol=tol)
+    det = sine_kernel_det_auto(1.0, s)
     if abs(det.imag) > 1e-10:
         raise ConvergenceError(
             f"gap probability has imaginary part {det.imag:.3e} at s = {s}")
     return float(det.real)
-
-
-def dump_determinant_csv(zeta, s_values, path, tol: float = 1e-12):
-    """CSV dump (s, Re det, Im det) for plotting."""
-    rows = []
-    for s in s_values:
-        d = sine_kernel_det_auto(zeta, s, tol=tol)
-        rows.append((s, d.real, d.imag))
-    np.savetxt(path, np.array(rows), delimiter=",",
-               header="s,re_det,im_det", comments="")

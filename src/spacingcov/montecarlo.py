@@ -11,13 +11,18 @@ spacings; the caller folds them, in chunk-index order, into fixed sums
 (spacing first moments, the full spacing cross-moment matrix, and per-lag
 product second moments), from which the exact two-pass statistics --
 including Delta_l from all M samples -- are reconstructed at the end.
+One sum grows with M: each chunk's LEAD x LEAD leading cross-moments,
+kept for the batch-means error of the level statistics, 34.8 KB per
+chunk, so 7.0 MB at M = 1e5 and 70 MB at M = 1e6 in chunks of 500, in
+memory and in the checkpoint.
 Chunk RNG streams are spawned from one seed, so results are bit-identical
 for a given config whatever the number of worker threads, at a fixed BLAS
 thread count: the cross-moment sums are BLAS products, formed in the
 folding thread, whose summation order follows that count (about 1 ulp
 apart between 1 and 2 OpenBLAS threads).  A checkpoint of the sums makes
 runs resumable; it is keyed by the config, this module's code and the
-numpy and scipy versions, and a file of any other key is refused.
+numpy and scipy versions, and a file of any other key, or one that cannot
+be read, is refused.
 
 Samplers: dense QR of a complex Ginibre matrix with the phase correction,
 and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
@@ -39,6 +44,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
+from zipfile import BadZipFile
 
 import numpy as np
 import scipy
@@ -46,6 +52,7 @@ from scipy.linalg import eig_banded
 
 TWO_PI = 2.0 * np.pi
 C_99 = 2.5758                      # 99% two-sided normal quantile
+LEAD = 66                          # leading window kept per chunk: level stats
 
 
 class CheckpointMismatch(RuntimeError):
@@ -60,7 +67,6 @@ class MCConfig:
     k_max: int = 12
     sampler: str = "sparse_cmv"    # or "qr_haar"
     chunk_size: int = 500
-    lead: int = 66                 # leading window kept chunk-wise for level stats
 
     def __post_init__(self):
         if self.N < 4:
@@ -73,8 +79,6 @@ class MCConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.lead < 0:
-            raise ValueError("lead must be >= 0")
 
     @property
     def n_chunks(self) -> int:
@@ -266,9 +270,7 @@ def aggregate(per_sample) -> MCEstimate:
 
     ``per_sample`` is (M,) or (M, K+1); rows are independent samples.
     """
-    x = np.atleast_2d(np.asarray(per_sample, dtype=float))
-    if x.shape[0] == 1 and x.ndim == 2 and np.asarray(per_sample).ndim == 1:
-        x = x.T
+    x = np.asarray(per_sample, dtype=float).reshape(len(per_sample), -1)
     M = x.shape[0]
     if M < 2:
         raise ValueError("need at least 2 samples")
@@ -292,7 +294,7 @@ class _Accumulators:
     @classmethod
     def fresh(cls, config: MCConfig):
         n = config.N - 1
-        L = min(config.lead, n)
+        L = min(LEAD, n)
         return cls(
             np.zeros(n), np.zeros((n, n)),
             [np.zeros((n - k, n - k)) for k in range(config.k_max + 1)],
@@ -330,12 +332,6 @@ class MCRunResult:
     cov: np.ndarray                         # unfolded spacing covariances
     _chunk_lead_cross: np.ndarray = field(repr=False, default=None)
 
-    def var_lambda(self, k: int) -> float:
-        """Variance of the k-th unfolded cumulative level lambda_k."""
-        if not (1 <= k <= self.cov.shape[0]):
-            raise ValueError("k out of range")
-        return float(self.cov[:k, :k].sum())
-
     def second_difference(self, k: int):
         """(value, half_width) of (var l_{k+1} - 2 var l_k + var l_{k-1})/2.
 
@@ -349,15 +345,14 @@ class MCRunResult:
         return float(est.values[0]), float(est.half_widths[0])
 
     def _chunk_second_diffs(self, k: int) -> np.ndarray:
+        M, size = self.config.M, self.config.chunk_size
+        counts = np.diff([*range(0, M, size), M])   # the last may be short
         d = self.delta[:self._chunk_lead_cross.shape[1]]
-        scale = np.outer(d, d)
-        out = np.empty(self._chunk_lead_cross.shape[0])
-        for c in range(out.size):
-            lo, hi = self.config.chunk_bounds(c)     # the last may be short
-            C = self._chunk_lead_cross[c] / (hi - lo) / scale - 1.0
-            out[c] = 0.5 * (C[:k + 1, :k + 1].sum() - 2.0 * C[:k, :k].sum()
-                            + C[:k - 1, :k - 1].sum())
-        return out
+        C = (self._chunk_lead_cross / counts[:, None, None]
+             / np.outer(d, d) - 1.0)
+        return 0.5 * (C[:, :k + 1, :k + 1].sum(axis=(1, 2))
+                      - 2.0 * C[:, :k, :k].sum(axis=(1, 2))
+                      + C[:, :k - 1, :k - 1].sum(axis=(1, 2)))
 
 
 def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
@@ -457,21 +452,26 @@ def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):
 
 
 def _load_checkpoint(path, config: MCConfig) -> _Accumulators:
-    with np.load(path, allow_pickle=False) as data:
-        # a file of an older layout has no key and matches nothing
-        found = json.loads(str(data["key"])) if "key" in data else {}
-        expected = _checkpoint_key(config)
-        differ = [name for name in sorted(expected)
-                  if found.get(name) != expected[name]]
-        if differ:
-            raise CheckpointMismatch(
-                "checkpoint was produced by a different "
-                + ", ".join(differ))
-        # every item read from the archive is a fresh array
-        return _Accumulators(
-            data["sum_s"], data["cross"],
-            [data[f"prod_sq_{k}"] for k in range(config.k_max + 1)],
-            data["chunk_lead_cross"], int(data["next_chunk"]))
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            # a file of an older layout has no key and matches nothing
+            found = json.loads(str(data["key"])) if "key" in data else {}
+            expected = _checkpoint_key(config)
+            differ = [name for name in sorted(expected)
+                      if found.get(name) != expected[name]]
+            if differ:
+                raise CheckpointMismatch(
+                    "checkpoint was produced by a different "
+                    + ", ".join(differ))
+            # every item read from the archive is a fresh array
+            return _Accumulators(
+                data["sum_s"], data["cross"],
+                [data[f"prod_sq_{k}"] for k in range(config.k_max + 1)],
+                data["chunk_lead_cross"], int(data["next_chunk"]))
+    except (OSError, EOFError, ValueError, BadZipFile) as exc:
+        # a write cut short: no key to match
+        raise CheckpointMismatch(
+            f"checkpoint {path} cannot be read: {exc}") from exc
 
 
 @dataclass

@@ -421,10 +421,6 @@ class SigmaTrajectory:
         """Log-integral at path positions x (vectorized)."""
         return self._eval(x, -1)
 
-    def eval_sigma(self, x) -> np.ndarray:
-        """sigma0 at path positions x (vectorized)."""
-        return self._eval(x, 0)
-
     def vertical_log_integral(self, tau) -> np.ndarray:
         """Log-integral along the lift t = t0 + i tau."""
         if self._lift is None:

@@ -84,6 +84,7 @@ DENSITY_RTOL = 1e-6            # |Im P| / |P| of a returned spacing density
 TAIL_OMEGA_MIN = 0.015
 SMALL_OMEGA_MAX = 0.2          # the closed small-omega form serves (0, this]
 PANEL_NODES = 32               # Gauss-Legendre nodes per sub-panel of the head
+SUB_LEN = 10.0                 # max sub-panel length; resolves e^{+-i lam}
 ERR_CAP = 1e-6                 # an error estimate beyond this raises
 
 # the modules whose code computes S(omega); spectrum.npz is keyed by them
@@ -99,7 +100,6 @@ class TruncationError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumConfig:
     backend: str = "painleve"      # or "fredholm"
-    sub_len: float = 10.0          # max sub-panel length; resolves e^{+-i lam}
     omega_min: float = 0.05        # below this, the closed small-omega form
     solver: SolverConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
@@ -112,9 +112,6 @@ class SpectrumConfig:
                 and 0.0 < self.omega_min <= SMALL_OMEGA_MAX):
             raise ValueError(f"omega_min must lie in (0, {SMALL_OMEGA_MAX}], "
                              f"got {self.omega_min}")
-        if not (np.isfinite(self.sub_len) and self.sub_len > 0.0):
-            raise ValueError(
-                f"sub_len must be finite and positive, got {self.sub_len}")
 
 
 DEFAULT_SPECTRUM_CONFIG = SpectrumConfig()
@@ -154,14 +151,14 @@ def _barnes_g_product(v):
     return float(np.exp(-(1.0 + np.euler_gamma) * v * v - series))
 
 
-def _panel_rule(breaks, config: SpectrumConfig):
+def _panel_rule(breaks):
     """Composite Gauss-Legendre rule over the consecutive intervals between
-    ``breaks`` (empty ones skipped), in sub-panels no longer than
-    config.sub_len, which resolve the unit-rate oscillations."""
+    ``breaks`` (empty ones skipped), in sub-panels no longer than SUB_LEN,
+    which resolve the unit-rate oscillations."""
     edges = [breaks[0]]
     for a, b in zip(breaks[:-1], breaks[1:]):
         if b > a:
-            n = max(1, int(np.ceil((b - a) / config.sub_len)))
+            n = max(1, int(np.ceil((b - a) / SUB_LEN)))
             edges.extend(np.linspace(a, b, n + 1)[1:])
     gx, gw = _nystrom_rule(PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
@@ -178,7 +175,7 @@ def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
     gives t0, the elevation and every value."""
     traj = solve_sigma0(1.0 - np.exp(1j * omega), x_max, config.solver)
     t0, elevation = traj.series_radius, traj.elevation
-    x, w = _panel_rule([0.0, t0, TAIL_START, x_max], config)
+    x, w = _panel_rule([0.0, t0, TAIL_START, x_max])
     gx, gw = _nystrom_rule(PANEL_NODES)
     # contour piece t = t0 + i tau, dt = i dtau
     tau = 0.5 * elevation * (gx + 1.0)
@@ -191,7 +188,7 @@ def _fredholm_path(omega: float, x_max: float, config: SpectrumConfig):
     """As _painleve_path, on the real axis: det(I - zeta K_{lam/2pi}) with a
     fixed Nystrom node count ceil(3.4 s + 24) at s = lam/2pi."""
     zeta = 1.0 - np.exp(1j * omega)
-    x, w = _panel_rule([0.0, TAIL_START, x_max], config)
+    x, w = _panel_rule([0.0, TAIL_START, x_max])
     values = np.array([
         sine_kernel_det(DeterminantRequest(
             zeta, l / TWO_PI, int(np.ceil(3.4 * l / TWO_PI + 24))))

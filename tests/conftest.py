@@ -64,4 +64,4 @@ def mc_acceptance_run():
 def mc_small_run():
     """A cheap run for structural (non-statistical) Monte Carlo tests."""
     return mc.run(mc.MCConfig(N=48, M=4000, seed=11, k_max=6,
-                              chunk_size=500, lead=30))
+                              chunk_size=500))

@@ -201,6 +201,15 @@ class TestConfigFile:
         assert rc == 2
         assert "config" in capsys.readouterr().err
 
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys):
+        # a config value is converted as the flag's value would be
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "montecarlo"])
+        assert exc.value.code == 2
+        assert "abc" in capsys.readouterr().err
+
 
 class TestFigure1:
     def _mc_csv(self, tmp_path, mean_of):

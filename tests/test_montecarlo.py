@@ -44,8 +44,6 @@ class TestConfig:
             MCConfig(N=16, k_max=15)
         with pytest.raises(ValueError):
             MCConfig(sampler="dense")
-        with pytest.raises(ValueError, match="lead"):
-            MCConfig(lead=-3)
 
 
 class TestSampling:
@@ -327,21 +325,21 @@ class TestStreamingRun:
         assert np.allclose(delta, mc_small_run.delta, rtol=0, atol=1e-14)
 
     def test_determinism(self):
-        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=200)
         a = mc.run(cfg)
         b = mc.run(cfg)
         assert np.array_equal(a.estimate.values, b.estimate.values)
         assert np.array_equal(a.cov, b.cov)
 
     def test_thread_count_invariance(self):
-        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=200)
         a = mc.run(cfg, threads=1)
         b = mc.run(cfg, threads=3)
         assert np.array_equal(a.estimate.values, b.estimate.values)
         assert np.array_equal(a.cov, b.cov)
 
     def test_in_flight_chunks_bounded(self, monkeypatch):
-        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=20, lead=12)
+        cfg = MCConfig(N=24, M=600, seed=9, k_max=4, chunk_size=20)
         threads = 2
         lock = threading.Lock()
         count = {"started": 0, "folded": 0, "max": 0}
@@ -372,7 +370,7 @@ class TestStreamingRun:
 
     def test_chunk_returns_its_spacings(self):
         # 90 samples in chunks of 40: the last chunk holds 10
-        cfg = MCConfig(N=24, M=90, seed=4, k_max=3, chunk_size=40, lead=10)
+        cfg = MCConfig(N=24, M=90, seed=4, k_max=3, chunk_size=40)
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
         for c in range(cfg.n_chunks):
             lo, hi = cfg.chunk_bounds(c)
@@ -385,7 +383,7 @@ class TestStreamingRun:
 
     def test_fold_matches_per_chunk_sums(self):
         # each fold adds what the per-chunk sums, formed apart, would add
-        cfg = MCConfig(N=24, M=90, seed=4, k_max=5, chunk_size=40, lead=10)
+        cfg = MCConfig(N=24, M=90, seed=4, k_max=5, chunk_size=40)
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
         acc = mc._Accumulators.fresh(cfg)
         ref = mc._Accumulators.fresh(cfg)
@@ -401,7 +399,7 @@ class TestStreamingRun:
             ref.cross += cross
             for k, m in enumerate(prod_sq):
                 ref.prod_sq[k] += m
-            ref.chunk_lead_cross[c] = R[:, :cfg.lead].T @ R[:, :cfg.lead]
+            ref.chunk_lead_cross[c] = R[:, :mc.LEAD].T @ R[:, :mc.LEAD]
             assert acc.next_chunk == c + 1
             assert np.array_equal(acc.sum_s, ref.sum_s)
             assert np.array_equal(acc.cross, ref.cross)
@@ -431,7 +429,7 @@ class TestStreamingRun:
         assert peak < held + margin
 
     def test_checkpoint_resume_equivalence(self, tmp_path):
-        cfg = MCConfig(N=24, M=800, seed=10, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=800, seed=10, k_max=3, chunk_size=200)
         full = mc.run(cfg)
         ck = str(tmp_path / "ck.npz")
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
@@ -444,8 +442,8 @@ class TestStreamingRun:
         assert np.array_equal(full.cov, resumed.cov)
 
     def test_checkpoint_config_mismatch(self, tmp_path, monkeypatch):
-        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
-        other = MCConfig(N=24, M=400, seed=2, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
+        other = MCConfig(N=24, M=400, seed=2, k_max=3, chunk_size=200)
         # written by another configuration
         ck = str(tmp_path / "ck_other.npz")
         mc.run(other, checkpoint_path=ck)
@@ -473,7 +471,7 @@ class TestStreamingRun:
 
     def test_checkpoint_without_key_is_refused(self, tmp_path):
         # the layout before the key: a version number and the config
-        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
         ck = str(tmp_path / "ck.npz")
         mc.run(cfg, checkpoint_path=ck)
         with np.load(ck) as data:
@@ -482,8 +480,20 @@ class TestStreamingRun:
         with pytest.raises(CheckpointMismatch):
             mc.run(cfg, checkpoint_path=ck, resume=True)
 
+    def test_unreadable_checkpoint_is_refused(self, tmp_path):
+        # a write cut short: refused like a file of another key, so a
+        # caller that starts afresh on CheckpointMismatch does so
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
+        ck = tmp_path / "ck.npz"
+        mc.run(cfg, checkpoint_path=str(ck))
+        whole = ck.read_bytes()
+        for broken in (whole[: len(whole) // 2], b""):
+            ck.write_bytes(broken)
+            with pytest.raises(CheckpointMismatch, match="cannot be read"):
+                mc.run(cfg, checkpoint_path=str(ck), resume=True)
+
     def test_checkpoint_every_guard(self, tmp_path, monkeypatch):
-        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
 
         def no_chunk(*args):
             raise AssertionError("a chunk was computed")
@@ -495,7 +505,7 @@ class TestStreamingRun:
         assert not ck.exists()
 
     def test_resume_without_checkpoint(self, tmp_path):
-        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
         with pytest.raises(CheckpointMismatch):
             mc.run(cfg, checkpoint_path=str(tmp_path / "absent.npz"),
                    resume=True)
@@ -507,7 +517,7 @@ class TestLevelStatistics:
         # per chunk, each sample's term of the chunk's second difference:
         # the chunk value is their mean
         cfg = res.config
-        L = min(cfg.lead, cfg.N - 1)
+        L = min(mc.LEAD, cfg.N - 1)
         children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
         out = []
         for c in range(cfg.n_chunks):
@@ -524,7 +534,7 @@ class TestLevelStatistics:
 
     def test_second_difference_short_last_chunk(self):
         # 450 samples in chunks of 200: the last chunk holds 50
-        cfg = MCConfig(N=24, M=450, seed=9, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=450, seed=9, k_max=3, chunk_size=200)
         res = mc.run(cfg)
         for k in (2, 3, 5):
             got = res._chunk_second_diffs(k)
@@ -540,9 +550,9 @@ class TestLevelStatistics:
     def test_second_difference_full_chunks_unchanged(self):
         # with M a multiple of chunk_size every chunk holds chunk_size
         # samples: its lead cross-moments are divided by it, bit for bit
-        cfg = MCConfig(N=24, M=600, seed=9, k_max=3, chunk_size=200, lead=12)
+        cfg = MCConfig(N=24, M=600, seed=9, k_max=3, chunk_size=200)
         res = mc.run(cfg)
-        d = res.delta[:12]
+        d = res.delta[:min(mc.LEAD, cfg.N - 1)]
         for k in (2, 3, 5):
             C = res._chunk_lead_cross / cfg.chunk_size / np.outer(d, d) - 1.0
             per = 0.5 * (C[:, :k + 1, :k + 1].sum(axis=(1, 2))
@@ -554,12 +564,17 @@ class TestLevelStatistics:
                 float(aggregate(per).half_widths[0]))
 
     def test_var_lambda_1_equals_spacing_variance(self, mc_small_run):
-        v1 = mc_small_run.var_lambda(1)
-        assert v1 == pytest.approx(mc_small_run.cov[0, 0], rel=1e-12,
-                                  abs=0)
+        # var lambda_1 from the chunk-wise window the level statistics
+        # read equals the spacing variance from the run's full sums
+        res = mc_small_run
+        raw = res._chunk_lead_cross[:, 0, 0].sum() / res.config.M
+        v1 = raw / res.delta[0] ** 2 - 1.0
+        assert v1 == pytest.approx(res.cov[0, 0], rel=1e-12, abs=0)
 
     def test_var_lambda_grows(self, mc_small_run):
-        v = [mc_small_run.var_lambda(k) for k in (2, 4, 8, 16)]
+        # var lambda_k is the sum of the spacing covariances of [:k, :k]
+        cov = mc_small_run.cov
+        v = [cov[:k, :k].sum() for k in (2, 4, 8, 16)]
         assert np.all(np.diff(v) > 0)
 
 

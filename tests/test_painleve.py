@@ -144,25 +144,25 @@ class TestSolver:
     def test_zero_parameter_gives_zero_trajectory(self):
         traj = solve_sigma0(0.0, 10.0)
         x = np.linspace(0.0, 10.0, 11)
-        assert np.all(traj.eval_sigma(x) == 0)
+        assert np.all(traj._eval(x, 0) == 0)
         assert np.all(traj.eval_log_integral(x) == 0)
 
     def test_boundary_values(self):
         traj = solve_sigma0(1.0, 5.0)
-        assert traj.eval_sigma(0.0)[0] == 0
+        assert traj._eval(0.0, 0)[0] == 0
         assert traj.eval_log_integral(0.0)[0] == 0
 
     def test_small_t_matches_two_term_expansion(self):
         traj = solve_sigma0(1.0, 5.0)
         for t in (1e-3, 5e-3):
             approx = -t / TWO_PI - (t / TWO_PI) ** 2
-            assert abs(traj.eval_sigma(t)[0] - approx) < 1e-7
+            assert abs(traj._eval(t, 0)[0] - approx) < 1e-7
 
     def test_solver_matches_series_inside_half_radius(self):
         traj = solve_sigma0(1.0 - np.exp(1j * 1.0), 5.0)
         t = 0.5 * traj.series_radius
         ser = traj._series(t, 0)
-        assert abs(traj.eval_sigma(t)[0] - ser) < 1e-10
+        assert abs(traj._eval(t, 0)[0] - ser) < 1e-10
 
     def test_real_zeta_stays_real_and_negative(self):
         # on the real axis L is real and strictly decreasing, so that
@@ -262,11 +262,12 @@ class TestSolver:
                              else traj._path(np.array([xi]), row)[0]
                              for xi in x])
 
-        assert np.array_equal(traj.eval_sigma(x), pointwise(0))
+        assert np.array_equal(traj._eval(x, 0), pointwise(0))
         assert np.array_equal(traj.eval_log_integral(x), pointwise(-1))
         # nothing is extrapolated beyond the integrated path
         for bad in (-1e-9, np.nextafter(t_max, np.inf), 2.0 * t_max, np.nan):
-            for evaluate in (traj.eval_sigma, traj.eval_log_integral,
+            for evaluate in (lambda x: traj._eval(x, 0),
+                             traj.eval_log_integral,
                              traj.log_integral_real_axis):
                 with pytest.raises(ValueError):
                     evaluate(bad)

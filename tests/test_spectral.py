@@ -142,20 +142,18 @@ class TestPowerSpectrum:
 
     @pytest.mark.parametrize("bad", [
         {"omega_min": 0.0}, {"omega_min": -0.05}, {"omega_min": 0.25},
-        {"omega_min": np.nan}, {"omega_min": np.inf}, {"sub_len": 0.0},
-        {"sub_len": -1.0}, {"sub_len": np.nan}, {"sub_len": np.inf},
+        {"omega_min": np.nan}, {"omega_min": np.inf},
         {"backend": "nystrom"}], ids=str)
     def test_config_rejects_bad_values(self, bad):
         # unchecked, omega_min = 0 grows the interpolant's panel edges
-        # without end, and sub_len = -1 gives one head panel and a
-        # misleading TruncationError
+        # without end
         with pytest.raises(ValueError):
             SpectrumConfig(**bad)
 
     def test_config_accepts_range_ends(self):
         # 0.2 is the largest omega power_spectrum_small_omega accepts
         assert SpectrumConfig(omega_min=0.2).omega_min == 0.2
-        assert SpectrumConfig(omega_min=1e-4, sub_len=1e-3).sub_len == 1e-3
+        assert SpectrumConfig(omega_min=1e-4).omega_min == 1e-4
 
     def test_below_omega_min_uses_closed_form(self):
         val, err = power_spectrum(0.02)
@@ -589,7 +587,7 @@ class TestInterpolant:
 
         def counting_stub(omega, config=spectral.DEFAULT_SPECTRUM_CONFIG):
             calls.append(omega)
-            return omega * config.sub_len, 0.0
+            return omega * (2.0 if config.backend == "fredholm" else 1.0), 0.0
 
         monkeypatch.setattr(spectral, "power_spectrum", counting_stub)
         path = str(tmp_path / "spectrum.npz")
@@ -599,9 +597,9 @@ class TestInterpolant:
             return SpectrumInterpolant.build(config, nodes=nodes,
                                              cache_path=path)
 
-        build(SpectrumConfig(sub_len=8.0))
+        build(SpectrumConfig(backend="fredholm"))
         assert calls
-        fresh = build()                     # other sub_len: rebuilt
+        fresh = build()                     # other backend: rebuilt
         assert calls
         cached = build()                    # matching file: reused
         assert calls == []
