@@ -11,18 +11,17 @@ spacings; the caller folds them, in chunk-index order, into fixed sums
 (spacing first moments, the full spacing cross-moment matrix, and per-lag
 product second moments), from which the exact two-pass statistics --
 including Delta_l from all M samples -- are reconstructed at the end.
-One sum grows with M: each chunk's LEAD x LEAD leading cross-moments,
-kept for the batch-means error of the level statistics, 34.8 KB per
-chunk, so 7.0 MB at M = 1e5 and 70 MB at M = 1e6 in chunks of 500, in
-memory and in the checkpoint.
+For the batch-means error of the level statistics, the LEAD x LEAD leading
+cross-moments are also summed per batch of contiguous chunks, at most
+LEAD_BATCHES of them, so no sum grows with M: 3.5 MB at N = 256 from 100
+chunks on, in memory and in the checkpoint.
 Chunk RNG streams are spawned from one seed, so results are bit-identical
 for a given config whatever the number of worker threads, at a fixed BLAS
 thread count: the cross-moment sums are BLAS products, formed in the
 folding thread, whose summation order follows that count (about 1 ulp
-apart between 1 and 2 OpenBLAS threads).  A checkpoint of the sums makes
-runs resumable; it is keyed by the config, this module's code and the
-numpy and scipy versions, and a file of any other key, or one that cannot
-be read, is refused.
+apart between 1 and 2 OpenBLAS threads).  A checkpoint of the sums, a
+``store`` file keyed by the config, this module's code and the numpy and
+scipy versions, makes runs resumable.
 
 Samplers: dense QR of a complex Ginibre matrix with the phase correction,
 and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
@@ -37,26 +36,24 @@ step (see ``_szego_phase`` and ``_szego_angles``).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import islice
-from zipfile import BadZipFile
 
 import numpy as np
 import scipy
 from scipy.linalg import eig_banded
 
+from . import store
+
 TWO_PI = 2.0 * np.pi
 C_99 = 2.5758                      # 99% two-sided normal quantile
-LEAD = 66                          # leading window kept per chunk: level stats
+LEAD = 66                          # leading window of the level statistics
+LEAD_BATCHES = 100                 # at most this many batches of its sums
 
 
-class CheckpointMismatch(RuntimeError):
-    """Checkpoint file does not match the requested configuration."""
+# a checkpoint of another key, or one that cannot be read or lacks an array
+CheckpointMismatch = store.StaleState
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,8 @@ class _Accumulators:
     sum_s: np.ndarray                       # (N-1,)
     cross: np.ndarray                       # (N-1, N-1): sum of outer(s, s)
     prod_sq: list                           # per k: (n_k, n_k) fourth moments
-    chunk_lead_cross: np.ndarray            # (n_chunks, L, L)
+    lead_cross: np.ndarray                  # (G, L, L): batch c G // n_chunks
+    n_chunks: int
     next_chunk: int = 0
 
     @classmethod
@@ -298,7 +296,8 @@ class _Accumulators:
         return cls(
             np.zeros(n), np.zeros((n, n)),
             [np.zeros((n - k, n - k)) for k in range(config.k_max + 1)],
-            np.zeros((config.n_chunks, L, L)))
+            np.zeros((min(LEAD_BATCHES, config.n_chunks), L, L)),
+            config.n_chunks)
 
 
 def _chunk_partials(config: MCConfig, c: int, child_seed) -> np.ndarray:
@@ -312,13 +311,14 @@ def _fold(acc: _Accumulators, c: int, R: np.ndarray):
     """Add chunk c's spacings R to the sums, each product straight into its
     accumulator, so no partial sum of the chunk is held beside them."""
     n = R.shape[1]
-    L = acc.chunk_lead_cross.shape[1]
+    L = acc.lead_cross.shape[1]
     acc.sum_s += R.sum(axis=0)
     acc.cross += R.T @ R
     for k, m in enumerate(acc.prod_sq):
         P = R[:, :n - k] * R[:, k:]
         m += P.T @ P
-    acc.chunk_lead_cross[c] = R[:, :L].T @ R[:, :L]
+    acc.lead_cross[c * len(acc.lead_cross) // acc.n_chunks] += (
+        R[:, :L].T @ R[:, :L])
     acc.next_chunk = c + 1
 
 
@@ -330,25 +330,27 @@ class MCRunResult:
     delta: np.ndarray                       # per-position mean raw spacing
     estimate: MCEstimate
     cov: np.ndarray                         # unfolded spacing covariances
-    _chunk_lead_cross: np.ndarray = field(repr=False, default=None)
+    _lead_cross: np.ndarray = field(repr=False, default=None)
 
     def second_difference(self, k: int):
         """(value, half_width) of (var l_{k+1} - 2 var l_k + var l_{k-1})/2.
 
-        Half-width at 99% from batch means over the run's chunks.
+        Half-width at 99% from batch means over the run's chunk batches.
         """
-        L = self._chunk_lead_cross.shape[1]
+        L = self._lead_cross.shape[1]
         if not (2 <= k <= L - 2):
             raise ValueError("k out of range for the stored leading window")
-        per_chunk = self._chunk_second_diffs(k)
-        est = aggregate(per_chunk)
+        est = aggregate(self._chunk_second_diffs(k))
         return float(est.values[0]), float(est.half_widths[0])
 
     def _chunk_second_diffs(self, k: int) -> np.ndarray:
+        """The second difference of each batch of chunks."""
         M, size = self.config.M, self.config.chunk_size
         counts = np.diff([*range(0, M, size), M])   # the last may be short
-        d = self.delta[:self._chunk_lead_cross.shape[1]]
-        C = (self._chunk_lead_cross / counts[:, None, None]
+        batch = np.arange(counts.size) * len(self._lead_cross) // counts.size
+        counts = np.bincount(batch, weights=counts)
+        d = self.delta[:self._lead_cross.shape[1]]
+        C = (self._lead_cross / counts[:, None, None]
              / np.outer(d, d) - 1.0)
         return 0.5 * (C[:, :k + 1, :k + 1].sum(axis=(1, 2))
                       - 2.0 * C[:, :k, :k].sum(axis=(1, 2))
@@ -360,22 +362,20 @@ def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
     """Execute (or resume) a full streaming Monte Carlo run."""
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    if resume:
-        if not (checkpoint_path and os.path.exists(checkpoint_path)):
-            raise CheckpointMismatch("no checkpoint to resume from")
-        acc = _load_checkpoint(checkpoint_path, config)
-    else:
-        acc = _Accumulators.fresh(config)
+    if resume and not checkpoint_path:
+        raise CheckpointMismatch("no checkpoint to resume from")
+    acc = (_load_checkpoint(checkpoint_path, config) if resume
+           else _Accumulators.fresh(config))
     children = np.random.SeedSequence(config.seed).spawn(config.n_chunks)
     todo = range(acc.next_chunk, config.n_chunks)
-    # fold in index order: thread-count invariant
+    # fold in index order: thread-count invariant.  A checkpoint is written
+    # every checkpoint_every chunks and after the last, each state once
     for c, R in _chunk_results(config, todo, children, threads):
         _fold(acc, c, R)
         del R               # free it before the next chunk is computed
-        if checkpoint_path and (c + 1) % checkpoint_every == 0:
+        if checkpoint_path and ((c + 1) % checkpoint_every == 0
+                                or c + 1 == config.n_chunks):
             _save_checkpoint(checkpoint_path, config, acc)
-    if checkpoint_path:
-        _save_checkpoint(checkpoint_path, config, acc)
     return _finalize(config, acc)
 
 
@@ -419,59 +419,31 @@ def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:
         stds[k] = np.sqrt(var)
     half = C_99 * stds / np.sqrt(M)
     est = MCEstimate(values, stds, half, N, M, config.seed)
-    return MCRunResult(config, delta, est, cov, acc.chunk_lead_cross)
+    return MCRunResult(config, delta, est, cov, acc.lead_cross)
 
 
 # the module whose code fills the checkpoint's sums
 _SOURCE = __file__
 
 
-@lru_cache(maxsize=None)
-def _source_digest(path) -> str:
-    """sha256 of the file at ``path``, read once per process."""
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _checkpoint_key(config: MCConfig) -> dict:
-    """Everything that fills a checkpoint: the config, a sha256 of
-    _SOURCE, and the numpy and scipy versions."""
-    return {"config": asdict(config), "source": _source_digest(_SOURCE),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+    return store.key(config, (_SOURCE,), scipy=scipy.__version__)
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):
-    payload = {"key": json.dumps(_checkpoint_key(config), sort_keys=True),
-               "next_chunk": acc.next_chunk, "sum_s": acc.sum_s,
-               "cross": acc.cross, "chunk_lead_cross": acc.chunk_lead_cross}
-    for k, m in enumerate(acc.prod_sq):
-        payload[f"prod_sq_{k}"] = m
-    tmp = str(path) + ".tmp.npz"     # np.savez appends .npz to other names
-    np.savez(tmp, **payload)
-    os.replace(tmp, path)
+    store.save(path, _checkpoint_key(config), {
+        "sum_s": acc.sum_s, "cross": acc.cross, "lead_cross": acc.lead_cross,
+        "next_chunk": acc.next_chunk,
+        **{f"prod_sq_{k}": m for k, m in enumerate(acc.prod_sq)}})
 
 
 def _load_checkpoint(path, config: MCConfig) -> _Accumulators:
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            # a file of an older layout has no key and matches nothing
-            found = json.loads(str(data["key"])) if "key" in data else {}
-            expected = _checkpoint_key(config)
-            differ = [name for name in sorted(expected)
-                      if found.get(name) != expected[name]]
-            if differ:
-                raise CheckpointMismatch(
-                    "checkpoint was produced by a different "
-                    + ", ".join(differ))
-            # every item read from the archive is a fresh array
-            return _Accumulators(
-                data["sum_s"], data["cross"],
-                [data[f"prod_sq_{k}"] for k in range(config.k_max + 1)],
-                data["chunk_lead_cross"], int(data["next_chunk"]))
-    except (OSError, EOFError, ValueError, BadZipFile) as exc:
-        # a write cut short: no key to match
-        raise CheckpointMismatch(
-            f"checkpoint {path} cannot be read: {exc}") from exc
+    names = ["sum_s", "cross", "lead_cross", "next_chunk",
+             *(f"prod_sq_{k}" for k in range(config.k_max + 1))]
+    sum_s, cross, lead_cross, done, *prod_sq = store.load(
+        path, _checkpoint_key(config), names)
+    return _Accumulators(sum_s, cross, prod_sq, lead_cross, config.n_chunks,
+                         int(done))
 
 
 @dataclass

@@ -46,17 +46,15 @@ by the Fourier inversion.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from zipfile import BadZipFile
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
+from . import store
 from .fredholm import DeterminantRequest, _nystrom_rule, sine_kernel_det
 from .painleve import (DEFAULT_CONFIG, SERIES_ORDER, SolverConfig,
                        SolverError, series_sigma0, solve_sigma0)
@@ -362,18 +360,6 @@ class PowerSpectrumTable:
         return cls(omegas, vals, errs, config.backend)
 
 
-def _cache_key(config: SpectrumConfig) -> str:
-    """The config, a sha256 of the _SOURCES, and the numpy version, as one
-    JSON string.  No scipy code computes S(omega), so its version is not
-    part of the key."""
-    digest = hashlib.sha256()
-    for path in _SOURCES:
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
-    return json.dumps({"config": asdict(config), "sources": digest.hexdigest(),
-                       "numpy": np.__version__}, sort_keys=True)
-
-
 class SpectrumInterpolant:
     """Piecewise-Chebyshev model of S(omega) on [omega_min, pi].
 
@@ -400,20 +386,15 @@ class SpectrumInterpolant:
         edges.append(np.pi)
         if cache_path is None:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
-        # the file is keyed by everything that produced it: the config (the
-        # edges follow from config.omega_min), the node count, the code and
-        # the numpy version; a file of any other key, or one np.load cannot
-        # read, is rebuilt and overwritten
-        key = _cache_key(config)
-        if cache_path and os.path.exists(cache_path):
+        # the edges follow from config.omega_min and no scipy code computes
+        # S, so neither is a part of the key; a stale file is rebuilt
+        key = store.key(config, _SOURCES, nodes=nodes)
+        names = [f"c{i}" for i in range(len(edges) - 1)]
+        if cache_path:
             try:
-                with np.load(cache_path, allow_pickle=False) as data:
-                    if (str(data.get("key")) == key
-                            and int(data["nodes"]) == nodes):
-                        coeffs = [data[f"c{i}"] for i in range(len(edges) - 1)]
-                        return cls(np.array(edges), coeffs, omega_min,
-                                   config.backend)
-            except (OSError, EOFError, KeyError, ValueError, BadZipFile):
+                return cls(np.array(edges), store.load(cache_path, key, names),
+                           omega_min, config.backend)
+            except store.StaleState:
                 pass
         coeffs = []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -422,13 +403,7 @@ class SpectrumInterpolant:
             vals = np.array([power_spectrum(float(w), config)[0] for w in om])
             coeffs.append(np.polynomial.chebyshev.chebfit(xc, vals, nodes - 1))
         if cache_path:
-            payload = {"key": key, "nodes": nodes}
-            for i, c in enumerate(coeffs):
-                payload[f"c{i}"] = c
-            # a whole file or none: a build cut short leaves no half file
-            tmp = str(cache_path) + ".tmp.npz"  # savez appends .npz otherwise
-            np.savez(tmp, **payload)
-            os.replace(tmp, cache_path)
+            store.save(cache_path, key, dict(zip(names, coeffs)))
         return cls(np.array(edges), coeffs, omega_min, config.backend)
 
     def __call__(self, omega):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, solve_banded
 
 from spacingcov import montecarlo as mc
 from spacingcov.montecarlo import (CheckpointMismatch, CueBatch, MCConfig,
@@ -123,7 +123,47 @@ def _dense_cmv(alpha):
     return L @ M
 
 
+def _cayley_angles(C):
+    """Sorted eigenangles of the unitary C by its Cayley transform.
+
+    U = e^{-i phi} C maps to the Hermitian H = i (I - U)(I + U)^{-1}, whose
+    eigenvalue x = tan((theta - phi)/2) gives theta = phi + 2 arctan x: one
+    solve and one eigvalsh, several times faster than eigvals at N = 256.
+    C is five-diagonal (checked), so I + U is solved as a banded system.  An
+    eigenvalue of U near -1 makes ||H|| large, and each x is off by about
+    eps ||H||, so when phi = 0 gives |x| >= 1e4 a quarter turn is taken.
+    H is checked, not made, Hermitian: a C that is not unitary fails.
+    """
+    assert not np.any(np.triu(C, 3)) and not np.any(np.tril(C, -3))
+    I = np.eye(len(C))
+    for phi in (0.0, 0.5 * np.pi):
+        U = np.exp(-1j * phi) * C
+        band = [np.pad(np.diagonal(I + U, k), (max(k, 0), max(-k, 0)))
+                for k in (2, 1, 0, -1, -2)]
+        H = 1j * solve_banded((2, 2), np.array(band), I - U)
+        x = np.linalg.eigvalsh(H)
+        if np.max(np.abs(x)) < 1e4:
+            break
+    assert np.max(np.abs(H - H.conj().T)) <= 1e-11 * np.max(np.abs(H))
+    return np.sort(np.mod(phi + 2.0 * np.arctan(x), TWO_PI))
+
+
 class TestSparseCMVDecoder:
+    @pytest.mark.parametrize("N", [256, 255, 64, 17, 5, 4, 3, 2])
+    def test_cayley_oracle_matches_eigvals(self, N):
+        # the oracle against the general eigensolver, a tenth of the 1e-9
+        # bound below, also for turned C, the last with an eigenvalue at -1;
+        # a C off the unitary group fails
+        for seed in range(4):
+            C = _dense_cmv(_verblunsky(N, _rng(seed)))
+            for turn in (1.0, -1.0, 1j, -1.0 / np.linalg.eigvals(C)[0]):
+                ref = np.sort(np.mod(np.angle(np.linalg.eigvals(turn * C)),
+                                     TWO_PI))
+                err = np.angle(np.exp(1j * (_cayley_angles(turn * C) - ref)))
+                assert np.max(np.abs(err)) < 1e-10
+        with pytest.raises(AssertionError):
+            _cayley_angles(C + 1e-6 * np.eye(N))
+
     @pytest.mark.parametrize("N, seeds", [(256, 500), (255, 50), (64, 200),
                                           (17, 200), (5, 200), (4, 200),
                                           (3, 200), (2, 200)])
@@ -131,7 +171,7 @@ class TestSparseCMVDecoder:
         worst = 0.0
         for seed in range(seeds):
             C = _dense_cmv(_verblunsky(N, _rng(seed)))
-            ref = np.sort(np.mod(np.angle(np.linalg.eigvals(C)), TWO_PI))
+            ref = _cayley_angles(C)
             got = sample_cue_eigenangles(N, _rng(seed), "sparse_cmv")
             err = np.abs(np.angle(np.exp(1j * (got - ref))))   # on the circle
             worst = max(worst, err.max())
@@ -399,13 +439,13 @@ class TestStreamingRun:
             ref.cross += cross
             for k, m in enumerate(prod_sq):
                 ref.prod_sq[k] += m
-            ref.chunk_lead_cross[c] = R[:, :mc.LEAD].T @ R[:, :mc.LEAD]
+            ref.lead_cross[c] = R[:, :mc.LEAD].T @ R[:, :mc.LEAD]
             assert acc.next_chunk == c + 1
             assert np.array_equal(acc.sum_s, ref.sum_s)
             assert np.array_equal(acc.cross, ref.cross)
             for k in range(cfg.k_max + 1):
                 assert np.array_equal(acc.prod_sq[k], ref.prod_sq[k])
-            assert np.array_equal(acc.chunk_lead_cross, ref.chunk_lead_cross)
+            assert np.array_equal(acc.lead_cross, ref.lead_cross)
 
     def test_traced_peak_near_accumulators(self):
         # a chunk in flight holds (chunk_size, N - 1) spacings, not dense
@@ -415,7 +455,7 @@ class TestStreamingRun:
         # held its 14 dense sums would exceed it with one chunk in flight
         cfg = MCConfig(N=256, M=96, seed=3, k_max=12, chunk_size=8)
         acc = mc._Accumulators.fresh(cfg)
-        held = (acc.sum_s.nbytes + acc.cross.nbytes + acc.chunk_lead_cross.nbytes
+        held = (acc.sum_s.nbytes + acc.cross.nbytes + acc.lead_cross.nbytes
                 + sum(m.nbytes for m in acc.prod_sq))
         margin = 6 * acc.cross.nbytes
         del acc
@@ -492,6 +532,51 @@ class TestStreamingRun:
             with pytest.raises(CheckpointMismatch, match="cannot be read"):
                 mc.run(cfg, checkpoint_path=str(ck), resume=True)
 
+    def test_checkpoint_without_an_array_is_refused(self, tmp_path):
+        # a matching key but a missing sum: refused, so a caller that
+        # starts afresh on CheckpointMismatch does so
+        cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
+        ck = str(tmp_path / "ck.npz")
+        mc.run(cfg, checkpoint_path=ck)
+        with np.load(ck) as data:
+            payload = {k: data[k] for k in data.files if k != "cross"}
+        np.savez(ck, **payload)
+        with pytest.raises(CheckpointMismatch, match="cannot be read"):
+            mc.run(cfg, checkpoint_path=ck, resume=True)
+
+    def test_checkpoint_written_when_sums_change(self, tmp_path, monkeypatch):
+        # a write per checkpoint_every chunks, and one at the end unless
+        # the last of those already holds the final sums
+        cfg = MCConfig(N=8, M=80, seed=3, k_max=2, chunk_size=2)
+        save, writes = mc._save_checkpoint, []
+
+        def counting(path, config, acc):
+            writes.append(acc.next_chunk)
+            save(path, config, acc)
+
+        monkeypatch.setattr(mc, "_save_checkpoint", counting)
+        ck = str(tmp_path / "ck.npz")
+        full = mc.run(cfg, checkpoint_path=ck, checkpoint_every=10)
+        assert writes == [10, 20, 30, 40]
+        writes.clear()
+        mc.run(cfg, checkpoint_path=ck, checkpoint_every=15)
+        assert writes == [15, 30, 40]
+        writes.clear()
+        mc.run(cfg, checkpoint_path=ck, resume=True)     # nothing left
+        assert writes == []
+        # interrupted after 25 chunks: the resume ends with its final write
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chunks)
+        acc = mc._Accumulators.fresh(cfg)
+        for c in range(25):
+            mc._fold(acc, c, mc._chunk_partials(cfg, c, children[c]))
+        save(ck, cfg, acc)
+        writes.clear()
+        resumed = mc.run(cfg, checkpoint_path=ck, resume=True,
+                         checkpoint_every=10)
+        assert writes == [30, 40]
+        assert np.array_equal(resumed.cov, full.cov)
+        assert mc._load_checkpoint(ck, cfg).next_chunk == cfg.n_chunks
+
     def test_checkpoint_every_guard(self, tmp_path, monkeypatch):
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
 
@@ -554,7 +639,7 @@ class TestLevelStatistics:
         res = mc.run(cfg)
         d = res.delta[:min(mc.LEAD, cfg.N - 1)]
         for k in (2, 3, 5):
-            C = res._chunk_lead_cross / cfg.chunk_size / np.outer(d, d) - 1.0
+            C = res._lead_cross / cfg.chunk_size / np.outer(d, d) - 1.0
             per = 0.5 * (C[:, :k + 1, :k + 1].sum(axis=(1, 2))
                          - 2.0 * C[:, :k, :k].sum(axis=(1, 2))
                          + C[:, :k - 1, :k - 1].sum(axis=(1, 2)))
@@ -563,11 +648,49 @@ class TestLevelStatistics:
                 float(aggregate(per).values[0]),
                 float(aggregate(per).half_widths[0]))
 
+    def test_chunks_share_batches_past_the_cap(self, monkeypatch):
+        # 7 chunks, the last short: at or below the cap each chunk is its
+        # own batch; with a cap of 3 the batches are chunks 0-2, 3-4 and
+        # 5-6, and each batch's value is the mean of its samples' terms
+        cfg = MCConfig(N=24, M=650, seed=9, k_max=3, chunk_size=100)
+        per_chunk = mc.run(cfg)
+        monkeypatch.setattr(mc, "LEAD_BATCHES", cfg.n_chunks)
+        at_cap = mc.run(cfg)
+        assert np.array_equal(at_cap._lead_cross, per_chunk._lead_cross)
+        monkeypatch.setattr(mc, "LEAD_BATCHES", 3)
+        res = mc.run(cfg)
+        assert np.array_equal(res.cov, per_chunk.cov)
+        assert res._lead_cross.shape == (3, 23, 23)
+        batches = ([0, 1, 2], [3, 4], [5, 6])
+        for g, chunks in enumerate(batches):
+            ref = np.zeros((23, 23))
+            for c in chunks:
+                ref += per_chunk._lead_cross[c]
+            assert np.array_equal(res._lead_cross[g], ref)
+        for k in (2, 3, 5):
+            terms = self._per_sample_second_diffs(res, k)
+            ref = [np.concatenate([terms[c] for c in chunks]).mean()
+                   for chunks in batches]
+            assert np.max(np.abs(res._chunk_second_diffs(k) - ref)) < 1e-12
+            assert np.array_equal(at_cap._chunk_second_diffs(k),
+                                  per_chunk._chunk_second_diffs(k))
+
+    def test_checkpoint_size_bounded(self, tmp_path, monkeypatch):
+        # the same size at the cap and at twice as many chunks
+        monkeypatch.setattr(mc, "LEAD_BATCHES", 4)
+        sizes = []
+        for M in (400, 800):
+            ck = tmp_path / f"ck{M}.npz"
+            mc.run(MCConfig(N=24, M=M, seed=2, k_max=3, chunk_size=100),
+                   checkpoint_path=str(ck))
+            sizes.append(ck.stat().st_size)
+        assert sizes[0] == sizes[1]
+
     def test_var_lambda_1_equals_spacing_variance(self, mc_small_run):
         # var lambda_1 from the chunk-wise window the level statistics
         # read equals the spacing variance from the run's full sums
         res = mc_small_run
-        raw = res._chunk_lead_cross[:, 0, 0].sum() / res.config.M
+        raw = res._lead_cross[:, 0, 0].sum() / res.config.M
         v1 = raw / res.delta[0] ** 2 - 1.0
         assert v1 == pytest.approx(res.cov[0, 0], rel=1e-12, abs=0)
 

@@ -642,9 +642,13 @@ class TestInterpolant:
         assert calls
         build()                             # same sources: reused
         assert calls == []
-        for src in sources:
-            with open(src, "a") as fh:      # any edit of any of the three
-                fh.write("\n")
+        for i, src in enumerate(sources):   # any edit of any of the three,
+            edit = tmp_path / f"edit{i}"    # as an edited copy: the hash is
+            edit.mkdir()                    # read once per process
+            copy = edit / os.path.basename(src)
+            copy.write_bytes(open(src, "rb").read() + b"\n")
+            monkeypatch.setattr(spectral, "_SOURCES",
+                                (*sources[:i], str(copy), *sources[i + 1:]))
             build()                         # changed hash: rebuilt
             assert calls
             build()
