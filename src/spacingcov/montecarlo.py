@@ -28,10 +28,14 @@ and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
 thirty times faster at N = 256.  Each sampler draws a whole block of
 samples in one call.  The CMV sampler takes cos(theta) of each sample from
 one banded eigensolve of C + C^H, built in O(N) from the Verblunsky
-coefficients, and then decodes fixed blocks of samples at once: one Szego
-recursion with a single complex state per candidate angle gives the sign
-of sin(theta), and the Christoffel-Darboux sum the slope of one Newton
-step (see ``_szego_phase`` and ``_szego_angles``).
+coefficients, and then decodes fixed blocks of samples at once (see
+``_decode``).  The Szego recursion in coefficient space gives the
+characteristic polynomial P of each sample.  P is self-inversive, so
+R(theta) = mu e^{-i N theta / 2} P(e^{i theta}) is a real trigonometric
+sum, and one pass over a table of e^{i f arccos c} gives R and R' at both
+candidates +-arccos c: each angle is the candidate of smaller |R / R'|
+after one Newton step.  The decoder uses no BLAS, so the angles do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -89,8 +93,7 @@ class MCConfig:
 # ---------------------------------------------------------------------------
 # samplers: (N, count, rng) -> (count, N) sorted eigenangles in [0, 2 pi)
 
-_DECODE_BLOCK = 32      # samples decoded together: at N = 256 the (32, 2N)
-                        # recursion state stays in cache
+_DECODE_BLOCK = 32      # samples whose polynomials are built together
 
 
 def _sample_qr_haar(N: int, count: int, rng) -> np.ndarray:
@@ -126,63 +129,118 @@ def _cmv_matrix(alpha: np.ndarray) -> np.ndarray:
     return ab
 
 
-def _szego_phase(alpha: np.ndarray, theta: np.ndarray):
-    """(F, dF/dtheta) at the angles theta (B, m) for the rows of alpha (B, N).
+def _paraorthogonal(alpha: np.ndarray) -> np.ndarray:
+    """Coefficients (N + 1, B), constant term first, of
+    P = z Phi_{N-1} - conj(alpha_{N-1}) Phi*_{N-1} for the rows of alpha
+    (B, N): the characteristic polynomial det(z - C) of the CMV matrix.
 
-    F = arg(alpha_{N-1} z Phi_{N-1} / Phi*_{N-1}) at z = e^{i theta}, where
-    Phi_n are the monic orthogonal polynomials of alpha.  On |z| = 1,
-    Phi*_n = z^n conj(Phi_n), so u_n = z^{-n/2} Phi_n carries the Szego
-    recursion alone:
-        u_{n+1} = p - conj(alpha_n) conj(p),  p = w u_n,  w = e^{i theta/2},
-    from u_0 = 1, and F = arg(alpha_{N-1} (w u_{N-1})^2).  The slope is the
-    Christoffel-Darboux sum
-        F' = sum_{k<N} |u_k|^2 / ||Phi_k||^2 / (|u_{N-1}|^2 / ||Phi_{N-1}||^2),
-    ||Phi_k||^2 = prod_{j<k} (1 - |alpha_j|^2), accumulated Horner-wise along
-    the recursion; F' >= 1 (F is the phase of a Blaschke product).
+    The Szego recursion in coefficient space, from Phi_0 = Phi*_0 = 1:
+        Phi_{n+1} = z Phi_n - conj(alpha_n) Phi*_n,
+        Phi*_{n+1} = Phi*_n - alpha_n z Phi_n.
+    Phi_n sits in rows N - n .. N of its buffer, so z Phi_n is the same
+    memory read from row N - n - 1, which is still zero; Phi*_n sits in rows
+    0 .. n.  Each step is four in-place ufuncs on contiguous (n + 2, B) rows.
     """
-    w = np.exp(0.5j * theta)
-    u = np.ones_like(w)
-    cd = np.ones(theta.shape)
-    a = alpha[:, :-1]
-    rho2 = 1.0 - (a.real ** 2 + a.imag ** 2)
-    # step n reads column n of each as a contiguous (B, 1) block
-    conj_a = np.ascontiguousarray(a.conj().T[:, :, None])
-    rho2 = np.ascontiguousarray(rho2.T[:, :, None])
-    # each step runs in preallocated buffers, in the operation order of
-    #   p = w u;  u = p - a_n conj(p);  cd = cd r_n + (Re(u)^2 + Im(u)^2)
-    p, q = np.empty_like(w), np.empty_like(w)
-    re2, im2 = np.empty(theta.shape), np.empty(theta.shape)
-    for a_n, r_n in zip(conj_a, rho2):
-        np.multiply(w, u, out=p)
-        np.conjugate(p, out=q)
-        np.multiply(a_n, q, out=q)
-        np.subtract(p, q, out=u)
-        np.multiply(cd, r_n, out=cd)
-        np.square(u.real, out=re2)
-        np.square(u.imag, out=im2)
-        np.add(re2, im2, out=re2)
-        np.add(cd, re2, out=cd)
-    F = np.angle(alpha[:, -1:] * (w * u) ** 2)
-    return F, cd / (u.real ** 2 + u.imag ** 2)
+    B, N = alpha.shape
+    phi = np.zeros((N + 1, B), dtype=complex)
+    phi_star = np.zeros((N + 1, B), dtype=complex)
+    phi[N] = phi_star[0] = 1.0
+    a = np.ascontiguousarray(alpha.T)
+    a_conj = a.conj()
+    u, v = np.empty_like(phi), np.empty_like(phi)
+    for n in range(N):
+        z_phi, star = phi[N - n - 1:], phi_star[:n + 2]
+        u_n, v_n = u[:n + 2], v[:n + 2]
+        np.multiply(a_conj[n], star, out=u_n)
+        np.multiply(a[n], z_phi, out=v_n)
+        np.subtract(z_phi, u_n, out=z_phi)
+        np.subtract(star, v_n, out=star)
+    return phi
 
 
-def _szego_angles(alpha: np.ndarray, cosines: np.ndarray) -> np.ndarray:
-    """Eigenangles of the CMV matrices of the rows of alpha (B, N), given
-    their cosines (B, N).
+def _real_form(alpha: np.ndarray):
+    """(f, A, B): frequencies f (F,) and coefficients A, B (rows of alpha, F)
+    of the real function
+        R(theta) = mu e^{-i N theta / 2} P(e^{i theta})
+                 = sum_f A_f cos(f theta) + B_f sin(f theta),
+    mu^2 = -alpha_{N-1}, f = k - N/2 >= 0 (half-integers for odd N).
 
-    The eigenvalues are the zeros of Phi_N: the points of |z| = 1 where the
-    phase F of ``_szego_phase`` vanishes.  Both candidates +-arccos c of
-    every cosine go through one recursion; each angle is the candidate of
-    smaller |F| after one Newton step theta - F / F', which removes the
-    arccos error (up to 1e-8 near 0 and pi).  Rows are independent: a block
-    decodes to the same angles as its rows one at a time.
+    P is self-inversive, P* = -alpha_{N-1} P, so the coefficient c_k = mu p_k
+    of e^{i f theta} is the conjugate of that of e^{-i f theta}.  Each pair is
+    summed as computed, so R is the real part of the rounded sum.
+    """
+    N = alpha.shape[1]
+    c = _paraorthogonal(alpha) * np.sqrt(-alpha[:, -1])
+    k = np.arange((N + 1) // 2, N + 1)
+    A = (c[k].real + c[N - k].real).T
+    B = (c[N - k].imag - c[k].imag).T
+    if N % 2 == 0:
+        A[:, 0] *= 0.5                  # f = 0 is its own pair
+    return k - 0.5 * N, A, B
+
+
+def _trig_sums(f, A, B, half: np.ndarray) -> np.ndarray:
+    """(C, S, C1, S1), each shaped like half (rows of A, N): the sums over f
+    of A_f cos(f h), B_f sin(f h), f B_f cos(f h) and f A_f sin(f h) at the
+    angles h = half in [0, pi].  So R(+-h) = C +- S and R'(+-h) = C1 -+ S1.
+
+    The table of e^{i f h} is built by repeated multiplication by e^{i h},
+    one row at a time: (N, N/2 + 1) complex, 0.5 MB at N = 256.  It is read
+    by einsum, which uses no BLAS, so the sums do not depend on the BLAS
+    thread count.
+    """
+    out = np.empty((4, *half.shape))
+    table = np.empty((half.shape[1], f.size), dtype=complex)
+    for i, h in enumerate(half):
+        table[:, 0] = np.exp(1j * f[0] * h)
+        table[:, 1:] = np.exp(1j * h)[:, None]
+        np.multiply.accumulate(table, axis=1, out=table)
+        for row, part, w in zip(out[:, i], (table.real, table.imag) * 2,
+                                (A[i], B[i], f * B[i], f * A[i])):
+            np.einsum("jf,f->j", part, w, out=row)
+    return out
+
+
+class DecodeError(RuntimeError):
+    """A sample's decoded angles are not N distinct zeros of its
+    characteristic polynomial (two cosines gave the same zero); no angles
+    are returned."""
+
+
+def _decode(alpha: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """Sorted eigenangles in [0, 2 pi) of the CMV matrices of the rows of
+    alpha (B, N), given their cosines (B, N).
+
+    The eigenvalues are the zeros of P on |z| = 1, the zeros of the real R
+    of ``_real_form``.  One pass of ``_trig_sums`` at h = arccos c gives R
+    and R' at both candidates +-h; each angle is the candidate of smaller
+    |R / R'| after one Newton step theta - R / R', which removes the arccos
+    error (up to 1e-8 near 0 and pi).
+
+    R' alternates in sign from one simple zero of R to the next, and
+    R(theta + 2 pi) = (-1)^N R(theta).  If the sorted angles break that
+    alternation, a zero was taken twice and another missed, as when the
+    spectrum holds exact pairs +-theta; then DecodeError is raised.  Rows
+    are independent: a block decodes to the same angles as its rows one at
+    a time.
     """
     N = alpha.shape[1]
     half = np.arccos(np.clip(cosines, -1.0, 1.0))
-    theta = np.concatenate((half, -half), axis=1)
-    F, dF = _szego_phase(alpha, theta)
-    j = np.arange(N) + N * (np.abs(F[:, N:]) < np.abs(F[:, :N]))
-    return np.take_along_axis(theta - F / dF, j, axis=1)
+    C, S, C1, S1 = _trig_sums(*_real_form(alpha), half)
+    slope_up, slope_down = C1 - S1, C1 + S1
+    step_up, step_down = (C + S) / slope_up, (C - S) / slope_down
+    up = np.abs(step_up) <= np.abs(step_down)
+    theta = np.where(up, half - step_up, -half - step_down)
+    slope = np.where(up, slope_up, slope_down)
+    if N % 2:
+        slope[theta < 0] *= -1.0        # these move on by 2 pi
+    theta = np.mod(theta, TWO_PI)
+    order = np.argsort(theta, axis=1)
+    falling = np.signbit(np.take_along_axis(slope, order, axis=1))
+    if np.any(falling[:, 1:] == falling[:, :-1]):
+        raise DecodeError("a zero of the characteristic polynomial was "
+                          "decoded twice")
+    return np.take_along_axis(theta, order, axis=1)
 
 
 def _verblunsky(N: int, rng) -> np.ndarray:
@@ -203,8 +261,8 @@ def _sample_sparse_cmv(N: int, count: int, rng) -> np.ndarray:
                           for _ in range(min(_DECODE_BLOCK, count - lo))])
         two_cos = np.array([eig_banded(_cmv_matrix(a), lower=False,
                                        eigvals_only=True) for a in alpha])
-        out[lo:lo + len(alpha)] = _szego_angles(alpha, 0.5 * two_cos)
-    return np.sort(np.mod(out, TWO_PI), axis=1)
+        out[lo:lo + len(alpha)] = _decode(alpha, 0.5 * two_cos)
+    return out
 
 
 _SAMPLERS = {"qr_haar": _sample_qr_haar, "sparse_cmv": _sample_sparse_cmv}
@@ -422,12 +480,12 @@ def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:
     return MCRunResult(config, delta, est, cov, acc.lead_cross)
 
 
-# the module whose code fills the checkpoint's sums
-_SOURCE = __file__
+# the code that fills the checkpoint's sums, as it was imported
+_SOURCE_DIGEST = store.digest((__file__,))
 
 
 def _checkpoint_key(config: MCConfig) -> dict:
-    return store.key(config, (_SOURCE,), scipy=scipy.__version__)
+    return store.key(config, _SOURCE_DIGEST, scipy=scipy.__version__)
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):

@@ -85,9 +85,11 @@ PANEL_NODES = 32               # Gauss-Legendre nodes per sub-panel of the head
 SUB_LEN = 10.0                 # max sub-panel length; resolves e^{+-i lam}
 ERR_CAP = 1e-6                 # an error estimate beyond this raises
 
-# the modules whose code computes S(omega); spectrum.npz is keyed by them
+# the modules whose code computes S(omega); spectrum.npz is keyed by their
+# code as it was imported
 _SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
                  for name in ("painleve.py", "spectral.py", "fredholm.py"))
+_SOURCE_DIGEST = store.digest(_SOURCES)
 
 
 class TruncationError(RuntimeError):
@@ -388,7 +390,7 @@ class SpectrumInterpolant:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
         # the edges follow from config.omega_min and no scipy code computes
         # S, so neither is a part of the key; a stale file is rebuilt
-        key = store.key(config, _SOURCES, nodes=nodes)
+        key = store.key(config, _SOURCE_DIGEST, nodes=nodes)
         names = [f"c{i}" for i in range(len(edges) - 1)]
         if cache_path:
             try:

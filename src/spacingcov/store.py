@@ -5,7 +5,6 @@ import hashlib
 import json
 import os
 from dataclasses import asdict
-from functools import lru_cache
 from pathlib import Path
 from zipfile import BadZipFile
 
@@ -16,17 +15,18 @@ class StaleState(RuntimeError):
     """The file holds no state of the requested key, or cannot be read."""
 
 
-@lru_cache(maxsize=None)
-def _source_digest(paths: tuple) -> str:
-    """sha256 of the files at ``paths``, read once per process."""
+def digest(paths) -> str:
+    """sha256 of the files at ``paths``.  A producer reads its own at
+    import, so its keys name the code that is running, even if the files
+    are edited later."""
     code = b"".join(Path(path).read_bytes() for path in paths)
     return hashlib.sha256(code).hexdigest()
 
 
-def key(config, sources, **parts) -> dict:
-    """The config, a sha256 of the code in ``sources``, the numpy version
+def key(config, source: str, **parts) -> dict:
+    """The config, the ``digest`` of the producer's code, the numpy version
     and the further ``parts`` (a library version, a node count)."""
-    return {"config": asdict(config), "source": _source_digest(tuple(sources)),
+    return {"config": asdict(config), "source": source,
             "numpy": np.__version__, **parts}
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from spacingcov import fredholm, painleve, spectral
+from spacingcov import fredholm, painleve, spectral, store
 from spacingcov.painleve import SolverConfig
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
                                  SpectrumInterpolant, power_spectrum,
@@ -618,7 +618,8 @@ class TestInterpolant:
             assert calls == []
 
     def test_cache_file_keyed_by_source_hash(self, tmp_path, monkeypatch):
-        # a copy of the three source files stands in for the package's
+        # the digest of a copy of the three source files stands in for the
+        # package's
         calls = []
 
         def counting_stub(omega, config=spectral.DEFAULT_SPECTRUM_CONFIG):
@@ -631,7 +632,7 @@ class TestInterpolant:
             copy = tmp_path / os.path.basename(src)
             copy.write_bytes(open(src, "rb").read())
             sources.append(str(copy))
-        monkeypatch.setattr(spectral, "_SOURCES", tuple(sources))
+        monkeypatch.setattr(spectral, "_SOURCE_DIGEST", store.digest(sources))
         path = str(tmp_path / "spectrum.npz")
 
         def build():
@@ -642,13 +643,13 @@ class TestInterpolant:
         assert calls
         build()                             # same sources: reused
         assert calls == []
-        for i, src in enumerate(sources):   # any edit of any of the three,
-            edit = tmp_path / f"edit{i}"    # as an edited copy: the hash is
-            edit.mkdir()                    # read once per process
+        for i, src in enumerate(sources):   # any edit of any of the three
+            edit = tmp_path / f"edit{i}"
+            edit.mkdir()
             copy = edit / os.path.basename(src)
             copy.write_bytes(open(src, "rb").read() + b"\n")
-            monkeypatch.setattr(spectral, "_SOURCES",
-                                (*sources[:i], str(copy), *sources[i + 1:]))
+            monkeypatch.setattr(spectral, "_SOURCE_DIGEST", store.digest(
+                (*sources[:i], str(copy), *sources[i + 1:])))
             build()                         # changed hash: rebuilt
             assert calls
             build()
