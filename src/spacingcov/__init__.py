@@ -18,8 +18,8 @@ from .autocov import (AutocovSeries, autocov_asymptotic, autocov_asymptotic_ci,
                       sum_rule_residual)
 from .fredholm import (DeterminantRequest, gap_probability, sine_kernel_det,
                        sine_kernel_det_auto)
-from .painleve import (SigmaTrajectory, SolverConfig, log_generating_function,
-                       series_sigma0, solve_sigma0)
+from .painleve import (SigmaTrajectory, log_generating_function, series_sigma0,
+                       solve_sigma0)
 from .spectral import (PowerSpectrumTable, SpectrumConfig, SpectrumInterpolant,
                        power_spectrum, power_spectrum_small_omega,
                        spacing_distribution)
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutocovSeries", "CueBatch", "DeterminantRequest", "MCConfig",
-    "MCEstimate", "PowerSpectrumTable", "SigmaTrajectory", "SolverConfig",
-    "SpectrumConfig", "SpectrumInterpolant", "aggregate",
+    "MCEstimate", "PowerSpectrumTable", "SigmaTrajectory", "SpectrumConfig",
+    "SpectrumInterpolant", "aggregate",
     "autocov_asymptotic", "autocov_asymptotic_ci", "autocov_dyson",
     "autocov_exact", "autocov_series_exact", "finite_n_power_spectra",
     "gap_probability", "log_generating_function", "power_spectrum",

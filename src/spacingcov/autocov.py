@@ -44,9 +44,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .spectral import SpectrumInterpolant
 
-# Euler-Mascheroni constant, 20 digits
-EULER_GAMMA = 0.57721566490153286061
-
 TWO_PI = 2.0 * np.pi
 K_CAP = 400                # largest lag the inversion is certified for
 GAUSS_NODES = 32           # Gauss-Legendre nodes per sub-panel
@@ -58,11 +55,10 @@ _LAG_BLOCK = int(np.ceil(np.sqrt(K_CAP + 1)))
 
 @dataclass
 class AutocovSeries:
-    """delta I_k for k = 0..k_max from one backend; symmetric in k."""
+    """Exact delta I_k for k = 0..k_max; symmetric in k."""
 
     k_max: int
     values: np.ndarray
-    backend: str                      # exact | dyson | asymptotic | asymptotic_ci | montecarlo
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -80,7 +76,7 @@ def autocov_exact(k: int, spectrum: SpectrumInterpolant) -> float:
 def autocov_series_exact(k_max: int, spectrum: SpectrumInterpolant) -> AutocovSeries:
     (k_max,) = _lags([k_max])
     vals = _fourier_inversion(np.arange(k_max + 1), spectrum)
-    return AutocovSeries(int(k_max), vals, "exact")
+    return AutocovSeries(int(k_max), vals)
 
 
 def _lags(ks) -> np.ndarray:
@@ -151,7 +147,7 @@ def autocov_asymptotic(k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
     sub = 3.0 / (2.0 * np.pi ** 4 * k ** 4) * (
-        np.log(TWO_PI * k) + EULER_GAMMA - 11.0 / 6.0)
+        np.log(TWO_PI * k) + np.euler_gamma - 11.0 / 6.0)
     return autocov_dyson(k) - sub
 
 
@@ -164,7 +160,7 @@ def autocov_asymptotic_ci(k: int) -> float:
     from scipy.special import sici
     ci = sici(np.pi * k)[1]
     sub = 3.0 / (2.0 * np.pi ** 4 * k ** 4) * (
-        np.log(TWO_PI * k) - ci + EULER_GAMMA - 11.0 / 6.0)
+        np.log(TWO_PI * k) - ci + np.euler_gamma - 11.0 / 6.0)
     return autocov_dyson(k) - sub
 
 
@@ -173,8 +169,6 @@ def sum_rule_residual(k_max: int, series: AutocovSeries) -> float:
 
     The omitted tail is about -1/(pi^2 k_max) by the leading-decay form.
     """
-    if series.backend != "exact":
-        raise ValueError("sum rule applies to the exact backend")
     if k_max > series.k_max:
         raise ValueError("k_max exceeds series length")
     return float(series.values[0] + 2.0 * np.sum(series.values[1:k_max + 1]))

@@ -201,13 +201,21 @@ def build_parser(config_values=None) -> argparse.ArgumentParser:
     f1.set_defaults(func=cmd_figure1)
 
     # a config file's values are the defaults of the flags they name:
-    # argparse converts them as it does a flag's, and a given flag wins
+    # argparse converts them as it does a flag's, and a given flag wins.
+    # One file serves every subcommand, so a key may name another one's
+    # flag; a key that names no flag is a usage error
     values = config_values or {}
+    taken = set()
     for s in (sp, av, mo, f1):
         s.add_argument("--out", default="-", help="output path ('-' = stdout)")
         s.add_argument("--format", choices=["csv", "json"], default="csv")
-        s.set_defaults(**{a.dest: values[a.dest] for a in s._actions
-                          if a.nargs != 0 and a.dest in values})
+        given = {a.dest: values[a.dest] for a in s._actions
+                 if a.nargs != 0 and a.dest in values}
+        s.set_defaults(**given)
+        taken.update(given)
+    unknown = sorted(set(values) - taken)
+    if unknown:
+        p.error(f"config: no flag takes {', '.join(unknown)}")
     return p
 
 

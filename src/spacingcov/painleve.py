@@ -20,13 +20,12 @@ The sigma equation is polynomial in (t, s, s', s''), so at each step centre
 the Taylor coefficients of sigma follow from its differentiated third-order
 form by a short recurrence, and those of the log-integral L from L' = s/t.
 The step is the longest at which the last two terms of sigma and of L stay
-below SolverConfig.truncation, 1e-19 by default: more than three orders
-below the float64 rounding of the state, |sigma| being about 2 at
-omega = 0.05 and 120 at omega = pi at t = 250.  The trajectory is the
-list of these polynomial pieces; values are read from them by Horner
-evaluation, so where values are asked for does not move a step.  t is
-complex, so one stepper with a complex direction serves the lift, the path
-and the descent.
+below TRUNCATION = 1e-19: more than three orders below the float64
+rounding of the state, |sigma| being about 2 at omega = 0.05 and 120 at
+omega = pi at t = 250.  The trajectory is the list of these polynomial
+pieces; values are read from them by Horner evaluation, so where values
+are asked for does not move a step.  t is complex, so one stepper with a
+complex direction serves the lift, the path and the descent.
 
 One contour serves every zeta != 0.  From the series radius t0 it rises
 vertically to Im t = delta (the lift t = t0 + i tau), runs along
@@ -38,7 +37,7 @@ keeps the state on the constraint manifold, from which the third-order
 form, with sigma'' carried from piece to piece, drifts exponentially
 along complex paths.
 
-The contour runs below the real axis, at delta = -4.  With v =
+The contour runs below the real axis, at delta = ELEVATION = -4.  With v =
 omega/2pi, the determinant's zeros (poles of sigma) lie where its two
 leading Fisher-Hartwig terms, t^{-2v^2} e^{ivt} and t^{-2(1-v)^2}
 e^{i(v-1)t} (Deift-Its-Krasovsky, Ann. Math. 2011), cancel: to leading
@@ -73,7 +72,7 @@ from operator import mul
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# order of the Taylor steps.  It and the default truncation come from a
+# order of the Taylor steps.  It and TRUNCATION come from a
 # measured sweep (orders 30, 34, 38 against truncations 1e-21, 1e-20,
 # 1e-19): of the pairs that moved no pinned value of S or delta I_k beyond
 # its bound, order 38 at 1e-19 took the least thread time.  In Python the
@@ -93,6 +92,11 @@ BRANCH_MARGIN = 0.1
 # last term relative to the partial sum at the series radius
 SERIES_ORDER = 14
 SERIES_RTOL = 1e-14
+# a Taylor step's last two terms of sigma and of L stay below this
+TRUNCATION = 1e-19
+# Im t of the path beyond the series radius, for every zeta != 0: below
+# the axis, clear of the poles of sigma (module docstring)
+ELEVATION = -4.0
 
 
 class SolverError(RuntimeError):
@@ -106,33 +110,6 @@ class SolverError(RuntimeError):
 class BranchAmbiguityError(SolverError):
     """The two sigma'' roots lie nearly as close to the tracked value: the
     branch is not decided by continuity.  t_star is the point t."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    # a Taylor step's last two terms of sigma and of L stay below this
-    truncation: float = 1e-19
-    # Im t of the path beyond the series radius, for every zeta != 0.  The
-    # determinant's zeros (poles of sigma) lie on or above the real axis,
-    # up to Im t = 2.2 for omega in [2.7, pi) (module docstring); below the
-    # axis none lies near the path.  A Taylor step reaches about a fixed
-    # fraction of the distance to the nearest pole, so near omega = pi the
-    # depth sets the step length.  Of the depths -3, -3.5, -4 and -4.5 only
-    # -4 moved no pinned S or delta I_k beyond its bound (module
-    # docstring).  Nonzero: on the axis the path meets the poles at omega
-    # close to pi
-    elevation: float = -4.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.elevation) and self.elevation != 0.0):
-            raise ValueError(
-                f"elevation must be finite and nonzero, got {self.elevation}")
-        if not (np.isfinite(self.truncation) and self.truncation > 0.0):
-            raise ValueError(f"truncation must be finite and positive, "
-                             f"got {self.truncation}")
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 def _as_zeta(zeta) -> complex:
@@ -330,13 +307,13 @@ class _Pieces:
         return out
 
 
-def _integrate(t_of, rot, span, state, eps, what, t_star=None):
+def _integrate(t_of, rot, span, state, what, t_star=None):
     """Taylor steps from p = span[0] to span[1] (either way) along
     t = t_of(p), dt = rot dp, from state = (sigma, sigma', sigma'', L).
 
     At each centre sigma'' is the _select_spp root nearer the carried one:
     the branch-tracked second-order form.  Each step is as long as _step
-    allows, so where values are read later does not move it.
+    allows at TRUNCATION, so where values are read later does not move it.
     Returns the _Pieces and the end state; a step that collapses raises
     SolverError at ``t_star``, by default where the solve stalled.
     """
@@ -348,7 +325,7 @@ def _integrate(t_of, rot, span, state, eps, what, t_star=None):
         tc = t_of(p)
         spp = _select_spp(tc, s, sp, spp)
         a, l = _taylor(tc, s, sp, spp, L)
-        h = _step(a, l, eps)
+        h = _step(a, l, TRUNCATION)
         if not h > 1e-9 * max(1.0, abs(p)):
             raise SolverError(
                 f"{what} {'stalled' if h == h else 'met a nan state'} at "
@@ -393,7 +370,6 @@ class SigmaTrajectory:
     _series: _Series
     _path: _Pieces = None                 # in x, on [series_radius, t_max]
     _lift: _Pieces = None                 # in tau, on [0, elevation]
-    _config: SolverConfig = DEFAULT_CONFIG
 
     @property
     def t_max(self) -> float:
@@ -438,7 +414,6 @@ class SigmaTrajectory:
             return state
         return _integrate(
             lambda tau: complex(lam, tau), 1j, (self.elevation, 0.0), state,
-            self._config.truncation,
             f"the descent to the real axis at t = {lam}", t_star=lam)[1]
 
     def log_integral_real_axis(self, lam: float) -> complex:
@@ -446,19 +421,19 @@ class SigmaTrajectory:
         return self.real_axis_state(lam)[3]
 
 
-def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG):
+def solve_sigma0(zeta, t_max: float):
     """Integrate sigma0(t; zeta) with its log-integral up to path position
     t_max.
 
     Beyond the series radius t0 the path rises from t0 to
-    Im t = config.elevation and runs along it to t_max + i elevation
+    Im t = ELEVATION and runs along it to t_max + i elevation
     (module docstring).  The trajectory is frozen; a longer path is a new
     solve.
     """
     if not (np.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max}")
     z = _as_zeta(zeta)
-    elevation = config.elevation
+    elevation = ELEVATION
     ser = _Series(z)
     # sigma0 vanishes identically at zeta = 0: the series serves any t_max
     t0 = ser.radius() if z else t_max
@@ -470,21 +445,19 @@ def solve_sigma0(zeta, t_max: float, config: SolverConfig = DEFAULT_CONFIG):
         # along the path
         lift, state = _integrate(
             lambda tau: complex(t0, tau), 1j, (0.0, elevation), state,
-            config.truncation, "the vertical lift", t_star=t0)
+            "the vertical lift", t_star=t0)
         path, _ = _integrate(
             lambda x: complex(x, elevation), 1.0, (t0, t_max), state,
-            config.truncation, f"the path for zeta = {z}")
+            f"the path for zeta = {z}")
     return SigmaTrajectory(zeta=z, series_radius=t0, elevation=elevation,
-                           _series=ser, _path=path, _lift=lift,
-                           _config=config)
+                           _series=ser, _path=path, _lift=lift)
 
 
-def log_generating_function(zeta, lam: float,
-                            config: SolverConfig = DEFAULT_CONFIG) -> complex:
+def log_generating_function(zeta, lam: float) -> complex:
     """integral_0^lambda sigma0(t; zeta)/t dt at real lambda >= 0.
 
     Each call integrates afresh up to max(lambda, 1), so the value is a
-    function of (zeta, lambda, config) alone, whatever was asked before.
+    function of (zeta, lambda) alone, whatever was asked before.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
@@ -493,4 +466,4 @@ def log_generating_function(zeta, lam: float,
     z = _as_zeta(zeta)
     if z == 0:
         return 0j
-    return solve_sigma0(z, max(lam, 1.0), config).log_integral_real_axis(lam)
+    return solve_sigma0(z, max(lam, 1.0)).log_integral_real_axis(lam)

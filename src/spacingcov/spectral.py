@@ -47,7 +47,7 @@ by the Fourier inversion.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -56,8 +56,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from . import store
 from .fredholm import DeterminantRequest, _nystrom_rule, sine_kernel_det
-from .painleve import (DEFAULT_CONFIG, SERIES_ORDER, SolverConfig,
-                       SolverError, series_sigma0, solve_sigma0)
+from .painleve import SERIES_ORDER, SolverError, series_sigma0, solve_sigma0
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,13 +73,16 @@ FIT_RESIDUAL_TOL = 1e-8        # relative rms misfit on the window
 C0_RTOL = 1e-6                 # fitted C_0 against [G(1+v) G(1-v)]^2
 DENSITY_RTOL = 1e-6            # |Im P| / |P| of a returned spacing density
 # below this omega the closure's error estimate understates its error, so
-# the exact route raises (reachable only with omega_min below it).  Deviation
+# the exact route raises (reachable only with OMEGA_MIN below it).  Deviation
 # from the closed form plus -1.59e-3 omega^4 against the reported error,
-# with omega_min = 1e-4 and one BLAS thread:
+# with OMEGA_MIN = 1e-4 and one BLAS thread:
 #   omega = 0.002: 2.8e-9 against 3.2e-11;  0.005: 1.0e-9 against 6.4e-12;
 #   omega = 0.01: 1.1e-11 against 1.1e-11;  0.015: 2.4e-13 against 6.3e-12
 TAIL_OMEGA_MIN = 0.015
 SMALL_OMEGA_MAX = 0.2          # the closed small-omega form serves (0, this]
+# below this S is that form; the interpolant's panel edges double from here
+# to pi, so it must be positive
+OMEGA_MIN = 0.05
 PANEL_NODES = 32               # Gauss-Legendre nodes per sub-panel of the head
 SUB_LEN = 10.0                 # max sub-panel length; resolves e^{+-i lam}
 ERR_CAP = 1e-6                 # an error estimate beyond this raises
@@ -100,18 +102,10 @@ class TruncationError(RuntimeError):
 @dataclass(frozen=True)
 class SpectrumConfig:
     backend: str = "painleve"      # or "fredholm"
-    omega_min: float = 0.05        # below this, the closed small-omega form
-    solver: SolverConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
     def __post_init__(self):
         if self.backend not in ("painleve", "fredholm"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        # below omega_min S is power_spectrum_small_omega; at 0 the
-        # interpolant's geometric panel edges never reach pi
-        if not (np.isfinite(self.omega_min)
-                and 0.0 < self.omega_min <= SMALL_OMEGA_MAX):
-            raise ValueError(f"omega_min must lie in (0, {SMALL_OMEGA_MAX}], "
-                             f"got {self.omega_min}")
 
 
 DEFAULT_SPECTRUM_CONFIG = SpectrumConfig()
@@ -166,14 +160,14 @@ def _panel_rule(breaks):
             (half * gw).ravel())
 
 
-def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
+def _painleve_path(omega: float, x_max: float):
     """(x, w, values, vertical, elevation): the head's quadrature rule x, w
     on [0, x_max] and values = exp L at its path positions x, on the real
     axis up to the series radius t0 and on Im t = elevation beyond it (exp L
     jumps at t0, so no panel straddles it); vertical is the integral over
     the lift t = t0 + i tau in between.  One solve to x_max; its trajectory
     gives t0, the elevation and every value."""
-    traj = solve_sigma0(1.0 - np.exp(1j * omega), x_max, config.solver)
+    traj = solve_sigma0(1.0 - np.exp(1j * omega), x_max)
     t0, elevation = traj.series_radius, traj.elevation
     x, w = _panel_rule([0.0, t0, TAIL_START, x_max])
     gx, gw = _nystrom_rule(PANEL_NODES)
@@ -184,7 +178,7 @@ def _painleve_path(omega: float, x_max: float, config: SpectrumConfig):
     return x, w, np.exp(traj.eval_log_integral(x)), vertical, elevation
 
 
-def _fredholm_path(omega: float, x_max: float, config: SpectrumConfig):
+def _fredholm_path(omega: float, x_max: float):
     """As _painleve_path, on the real axis: det(I - zeta K_{lam/2pi}) with a
     fixed Nystrom node count ceil(3.4 s + 24) at s = lam/2pi."""
     zeta = 1.0 - np.exp(1j * omega)
@@ -248,16 +242,16 @@ def power_spectrum(omega: float,
                    config: SpectrumConfig = DEFAULT_SPECTRUM_CONFIG):
     """S(omega) for omega in (0, pi]; returns (value, error_estimate).
 
-    Below config.omega_min the certified closed small-omega form is
-    returned with its remainder bound as the error.  The error estimate is
-    described in the module docstring.  At or above omega_min but below
+    Below OMEGA_MIN the certified closed small-omega form is returned with
+    its remainder bound as the error.  The error estimate is described in
+    the module docstring.  At or above OMEGA_MIN but below
     TAIL_OMEGA_MIN the estimate cannot be trusted and TruncationError is
     raised.
     """
     if not (0.0 < omega <= np.pi + 1e-12):
         raise ValueError(f"omega must lie in (0, pi], got {omega}")
     omega = min(omega, np.pi)
-    if omega < config.omega_min:
+    if omega < OMEGA_MIN:
         return power_spectrum_small_omega(omega), 5.0 * omega ** 4
     if omega < TAIL_OMEGA_MIN:
         raise TruncationError(
@@ -266,7 +260,7 @@ def power_spectrum(omega: float,
     lo, hi = FIT_WINDOW
     end = max(TAIL_START, hi)
     path = _painleve_path if config.backend == "painleve" else _fredholm_path
-    x, w, values, vertical, elevation = path(omega, end, config)
+    x, w, values, vertical, elevation = path(omega, end)
     inside = x < TAIL_START
     head = vertical + np.sum(w[inside] * values[inside])
     fit = (x >= lo) & (x <= hi)
@@ -381,15 +375,16 @@ class SpectrumInterpolant:
     @classmethod
     def build(cls, config: SpectrumConfig = DEFAULT_SPECTRUM_CONFIG,
               nodes: int = 16, cache_path=None):
-        omega_min = config.omega_min
+        omega_min = OMEGA_MIN
         edges = [omega_min]
         while edges[-1] * 2.0 < np.pi:
             edges.append(edges[-1] * 2.0)
         edges.append(np.pi)
         if cache_path is None:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
-        # the edges follow from config.omega_min and no scipy code computes
-        # S, so neither is a part of the key; a stale file is rebuilt
+        # the edges follow from OMEGA_MIN, which the source digest names,
+        # and no scipy code computes S, so neither is a part of the key; a
+        # stale file is rebuilt
         key = store.key(config, _SOURCE_DIGEST, nodes=nodes)
         names = [f"c{i}" for i in range(len(edges) - 1)]
         if cache_path:

@@ -85,7 +85,7 @@ def test_criterion_5_beyond_dyson(report, exact_series):
 
 def test_criterion_6_sum_rule(report, exact_series):
     # compressibility residual cancels the leading 1/(pi^2 K) Dyson tail
-    series = ac.AutocovSeries(50, exact_series, "exact")
+    series = ac.AutocovSeries(50, exact_series)
     res = ac.sum_rule_residual(50, series)
     corrected = abs(res - 1.0 / (np.pi ** 2 * 50))
     report(6, f"tail-corrected residual {corrected:.2e}", corrected < 1e-4)

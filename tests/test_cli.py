@@ -186,7 +186,10 @@ class TestMonteCarlo:
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 24\nm = 400\nk-max = 3\nseed = 5  # default\n")
+        # one file serves every subcommand: the keys of the spectrum and
+        # figure1 flags are allowed here
+        cfg.write_text("n = 24\nm = 400\nk-max = 3\nseed = 5  # default\n"
+                       "points = 5\nmc-file = mc.csv\n")
         _, a = _run(tmp_path, "a.csv",
                     ["--config", str(cfg), "montecarlo", "--seed", "3"])
         _, b = _run(tmp_path, "b.csv", ["montecarlo"] + MC_ARGS)
@@ -209,6 +212,17 @@ class TestConfigFile:
             main(["--config", str(cfg), "montecarlo"])
         assert exc.value.code == 2
         assert "abc" in capsys.readouterr().err
+
+    def test_misspelled_config_key_is_usage_error(self, tmp_path, capsys):
+        # unchecked, k_mx and sed were dropped: a run with seed 1 and
+        # k_max 12 exited 0
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("n = 16\nm = 20\nk_mx = 3\nsed = 9\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "montecarlo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "k_mx" in err and "sed" in err
 
 
 class TestFigure1:

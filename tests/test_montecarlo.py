@@ -390,19 +390,44 @@ class TestAggregate:
 
 class TestTracedNames:
     def test_traced_attributes_exist(self):
-        # perfbench/tracing.py wraps these by name; one renamed away would
-        # make decode_s and eigensolve_s read 0 without failing the run
+        # perfbench/tracing.py wraps or reads these by name; one renamed
+        # away would make a layer metric (decode_s, eigensolve_s, solve_s,
+        # ode_steps, ...) read 0 without failing the run
+        from spacingcov import autocov, painleve, spectral
         path = os.path.join(os.path.dirname(os.path.dirname(
             os.path.dirname(mc.__file__))), "perfbench", "tracing.py")
         with open(path) as fh:
             tracing = fh.read()
-        names = set(re.findall(
-            r'(?:tracer\.wrap|getattr)\(montecarlo, "(\w+)"', tracing))
-        assert names >= {"eig_banded", "_cmv_matrix", "_SAMPLERS",
-                         "_chunk_partials", "_fold", "_finalize",
-                         "_save_checkpoint"}
-        for name in names:
-            assert callable(getattr(mc, name, None)) or name == "_SAMPLERS"
+        owners = {"montecarlo": mc, "spectral": spectral, "autocov": autocov,
+                  "painleve.SigmaTrajectory": painleve.SigmaTrajectory,
+                  "spectral.SpectrumInterpolant": spectral.SpectrumInterpolant,
+                  "traj": painleve.SigmaTrajectory}
+        # (how, owner, name): wrapped or read by getattr, with a loop
+        # variable standing for each name of its tuple, or read as a module
+        # constant.  Other owners (the regime hook's optional config fields,
+        # the tracer's own state) are not package names
+        loops = {var: re.findall(r'"(\w+)"', names) for var, names in
+                 re.findall(r'for (\w+) in \(([^)]*)\):', tracing)}
+        found = {("read", mod, const) for mod, const in re.findall(
+            r'\b(spectral|painleve|autocov|montecarlo)\.([A-Z][A-Z_]+)\b',
+            tracing)}
+        for how, owner, name, var in re.findall(
+                r'(tracer\.wrap|getattr)\(([\w.]+), (?:"(\w+)"|(\w+))',
+                tracing):
+            if owner in owners:
+                found.update((how, owner, n)
+                             for n in ([name] if name else loops[var]))
+        assert {name for _, _, name in found} >= {
+            "eig_banded", "_cmv_matrix", "_SAMPLERS", "_chunk_partials",
+            "_fold", "_finalize", "_save_checkpoint", "solve_sigma0",
+            "power_spectrum", "__call__", "eval_log_integral",
+            "vertical_log_integral", "t_grid", "leggauss",
+            "DEFAULT_SPECTRUM_CONFIG"}
+        for how, owner, name in found:
+            attr = getattr(owners[owner], name, None)
+            assert attr is not None, f"{owner}.{name}"
+            if how == "tracer.wrap":
+                assert callable(attr), f"{owner}.{name}"
         assert all(map(callable, mc._SAMPLERS.values()))
 
 

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from spacingcov import painleve
 from spacingcov.fredholm import sine_kernel_det_auto
-from spacingcov.painleve import (BranchAmbiguityError, SolverConfig,
-                                 log_generating_function, series_sigma0,
-                                 solve_sigma0)
+from spacingcov.painleve import (BranchAmbiguityError, log_generating_function,
+                                 series_sigma0, solve_sigma0)
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,7 +189,7 @@ class TestSolver:
     def test_residual_on_elevated_path(self):
         # zeta = 2 is omega = pi: the default path runs below the axis
         traj = solve_sigma0(2.0, 20.0)
-        assert traj.elevation == painleve.DEFAULT_CONFIG.elevation < 0
+        assert traj.elevation == painleve.ELEVATION < 0
         res = residual(traj, np.linspace(1.0, 19.0, 8))
         assert np.max(res) < 1e-9
 
@@ -230,20 +229,6 @@ class TestSolver:
         t0 = painleve._Series(z).radius()
         assert len(ends) == 5
         assert abs(info.value.t_star - (t0 + sum(ends))) < 1e-12
-
-    def test_config_rejects_bad_values(self):
-        # a zero elevation would put the path on the real axis, which meets
-        # the poles of sigma at omega close to pi; a bound <= 0 leaves the
-        # Taylor step undefined
-        for bad in ({"elevation": 0.0}, {"elevation": np.inf},
-                    {"elevation": np.nan}, {"truncation": 0.0},
-                    {"truncation": -1e-20}, {"truncation": np.nan},
-                    {"truncation": np.inf}):
-            with pytest.raises(ValueError):
-                SolverConfig(**bad)
-        # either side of the axis is a valid contour
-        for elevation in (-2.0, 1.0):
-            assert SolverConfig(elevation=elevation).elevation == elevation
 
     @pytest.mark.parametrize("omega, t_max", [(1.3, 30.0), (3.0, 20.0)],
                              ids=["real", "lifted"])
@@ -311,11 +296,11 @@ class TestSolver:
 
     @pytest.mark.parametrize("omega", [0.3, 1.5, 2.6, 2.8, np.pi])
     def test_exp_l_matches_determinant_to_400(self, omega):
-        # every omega takes the path at Im t = config.elevation and its
+        # every omega takes the path at Im t = ELEVATION and its
         # descents; the worst seen was 9.7e-13 (omega = 1.5, lambda = 399)
         z = 1.0 - np.exp(1j * omega)
         traj = solve_sigma0(z, 400.0)
-        assert traj.elevation == painleve.DEFAULT_CONFIG.elevation
+        assert traj.elevation == painleve.ELEVATION
         for lam in (5.0, 50.0, 200.0, 399.0):
             det = sine_kernel_det_auto(z, lam / TWO_PI)
             assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
@@ -334,7 +319,7 @@ class TestBranchChoice:
                 painleve._select_spp(t, s, sp, prev)
             assert info.value.t_star == t
 
-    def test_upper_path_passes_the_old_near_tie(self):
+    def test_upper_path_passes_the_old_near_tie(self, monkeypatch):
         # at omega = 2.95 a path at Im t = +1 runs among the determinant's
         # zeros, past poles of sigma near 505.8 + i and a near-zero of
         # sigma'' near 508.9 + i.  A solver that chose the branch at each of
@@ -342,7 +327,9 @@ class TestBranchChoice:
         # the next centre, where it points along one root, and the descents
         # match the Fredholm determinant beyond it
         z = 1.0 - np.exp(2.95j)
-        traj = solve_sigma0(z, 600.0, SolverConfig(elevation=1.0))
+        monkeypatch.setattr(painleve, "ELEVATION", 1.0)
+        traj = solve_sigma0(z, 600.0)
+        assert traj.elevation == 1.0        # the patch reached the solve
         for lam in (505.0, 510.0, 550.0, 599.0):
             det = sine_kernel_det_auto(z, lam / TWO_PI)
             assert abs(np.exp(traj.log_integral_real_axis(lam)) - det) < 1e-11
@@ -366,7 +353,7 @@ class TestBranchChoice:
         with pytest.raises(BranchAmbiguityError) as info:
             solve_sigma0(z, 20.0)       # 15 steps along the path, unturned
         t0 = painleve._Series(z).radius()
-        elevation = painleve.DEFAULT_CONFIG.elevation
+        elevation = painleve.ELEVATION
         assert len(ends) == 10
         assert abs(info.value.t_star - complex(t0 + sum(ends), elevation)) < 1e-12
 

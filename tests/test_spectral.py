@@ -9,7 +9,6 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from spacingcov import fredholm, painleve, spectral, store
-from spacingcov.painleve import SolverConfig
 from spacingcov.spectral import (PowerSpectrumTable, SpectrumConfig,
                                  SpectrumInterpolant, power_spectrum,
                                  power_spectrum_small_omega,
@@ -140,20 +139,10 @@ class TestPowerSpectrum:
             with pytest.raises(ValueError):
                 power_spectrum(omega)
 
-    @pytest.mark.parametrize("bad", [
-        {"omega_min": 0.0}, {"omega_min": -0.05}, {"omega_min": 0.25},
-        {"omega_min": np.nan}, {"omega_min": np.inf},
-        {"backend": "nystrom"}], ids=str)
+    @pytest.mark.parametrize("bad", [{"backend": "nystrom"}], ids=str)
     def test_config_rejects_bad_values(self, bad):
-        # unchecked, omega_min = 0 grows the interpolant's panel edges
-        # without end
         with pytest.raises(ValueError):
             SpectrumConfig(**bad)
-
-    def test_config_accepts_range_ends(self):
-        # 0.2 is the largest omega power_spectrum_small_omega accepts
-        assert SpectrumConfig(omega_min=0.2).omega_min == 0.2
-        assert SpectrumConfig(omega_min=1e-4).omega_min == 1e-4
 
     def test_below_omega_min_uses_closed_form(self):
         val, err = power_spectrum(0.02)
@@ -162,16 +151,20 @@ class TestPowerSpectrum:
 
     @pytest.mark.parametrize("backend", ["painleve", "fredholm"])
     @pytest.mark.parametrize("omega", [0.002, 0.005, 0.01])
-    def test_untrusted_small_omega_raises(self, omega, backend):
-        # the tail closure understates its error there (see TAIL_OMEGA_MIN)
-        config = SpectrumConfig(backend=backend, omega_min=1e-4)
+    def test_untrusted_small_omega_raises(self, omega, backend, monkeypatch):
+        # the tail closure understates its error there (see TAIL_OMEGA_MIN);
+        # the closed form, below the default OMEGA_MIN, would return
+        monkeypatch.setattr(spectral, "OMEGA_MIN", 1e-4)
         with pytest.raises(spectral.TruncationError):
-            power_spectrum(omega, config)
+            power_spectrum(omega, SpectrumConfig(backend=backend))
 
     @pytest.mark.parametrize("omega", [0.015, 0.02])
-    def test_trusted_small_omega_returns(self, omega):
-        val, err = power_spectrum(omega, SpectrumConfig(omega_min=1e-4))
-        # the closed form lacks a term near -1.6e-3 omega^4
+    def test_trusted_small_omega_returns(self, omega, monkeypatch):
+        monkeypatch.setattr(spectral, "OMEGA_MIN", 1e-4)
+        val, err = power_spectrum(omega)
+        # a value of the exact route, not the closed form, which lacks a
+        # term near -1.6e-3 omega^4
+        assert val != power_spectrum_small_omega(omega)
         assert abs(val - power_spectrum_small_omega(omega)) < 3e-3 * omega ** 4
         assert err < 1e-10
 
@@ -219,14 +212,17 @@ class TestPowerSpectrum:
         assert abs(val - float.fromhex(FINE_STEP_BITS[omega][0])) <= 1e-13
 
     @pytest.mark.parametrize("omega", [0.3, 1.0, 2.2, 3.0, np.pi])
-    def test_default_truncation_matches_fine_steps(self, omega):
+    def test_default_truncation_matches_fine_steps(self, omega, monkeypatch):
         # the same order with the steps cut at 1e-25 moved S by at most
         # 2.5e-14 (omega = 2.2) at these omegas, one BLAS thread; the bound
         # is twice that.  At omega = 0.05 it moved S by 1.5e-13: there S
         # follows where the steps fall to about 1e-13, whatever their size
+        steps = _spy_steps(monkeypatch)
         val, _ = power_spectrum(omega)
-        fine = SpectrumConfig(solver=SolverConfig(truncation=1e-25))
-        assert abs(val - power_spectrum(omega, fine)[0]) <= 5e-14
+        monkeypatch.setattr(painleve, "TRUNCATION", 1e-25)
+        fine = power_spectrum(omega)[0]
+        assert steps[1] > steps[0]          # the patch reached the stepper
+        assert abs(val - fine) <= 5e-14
 
     @pytest.mark.parametrize("omega", sorted(LONG_PATH_BITS))
     def test_values_near_long_path(self, omega):
@@ -290,6 +286,20 @@ class TestPowerSpectrum:
         slope_edge = abs((3 * v[0] - 4 * v[1] + v[2]) / (2 * h))
         slope_mid = abs(power_spectrum(1.0 + h)[0] - power_spectrum(1.0)[0]) / h
         assert slope_edge < 1e-3 * slope_mid
+
+
+def _spy_steps(monkeypatch):
+    """Record the path steps of every solve that power_spectrum makes."""
+    steps = []
+    orig = spectral.solve_sigma0
+
+    def spy(zeta, t_max):
+        traj = orig(zeta, t_max)
+        steps.append(len(traj.t_grid) - 1)
+        return traj
+
+    monkeypatch.setattr(spectral, "solve_sigma0", spy)
+    return steps
 
 
 def _spy_tail(monkeypatch):
@@ -401,7 +411,7 @@ class TestTailClosure:
             return complex(amp @ terms.ravel()), complex(c0), float(misfit)
 
         x, _, values, _, elevation = spectral._painleve_path(
-            omega, spectral.TAIL_START, spectral.DEFAULT_SPECTRUM_CONFIG)
+            omega, spectral.TAIL_START)
         lo, hi = spectral.FIT_WINDOW
         fit = (x >= lo) & (x <= hi)
         args = (omega / TWO_PI, x[fit], values[fit], elevation)
@@ -426,9 +436,12 @@ class TestTailClosure:
 
     @pytest.mark.parametrize("omega", [0.05, 0.3, 1.0, 3.0])
     def test_error_estimate_covers_knob_spread(self, omega, monkeypatch):
+        steps = _spy_steps(monkeypatch)
         val, err = power_spectrum(omega)
-        tight = SpectrumConfig(solver=SolverConfig(truncation=1e-27))
-        moved = [power_spectrum(omega, tight)[0]]
+        with monkeypatch.context() as tight:
+            tight.setattr(painleve, "TRUNCATION", 1e-27)
+            moved = [power_spectrum(omega)[0]]
+        assert steps[1] > steps[0]          # the patch reached the stepper
         lo, hi = spectral.FIT_WINDOW
         for shift in (-25.0, 25.0):
             monkeypatch.setattr(spectral, "FIT_WINDOW",
