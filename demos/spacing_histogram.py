@@ -25,7 +25,7 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.Generator(np.random.Philox(args.seed))
-    batch = CueBatch.generate(args.n, args.m, rng, "sparse_cmv")
+    batch = CueBatch.generate(args.n, args.m, rng)
     u = unfold(batch, batch.raw_spacings.mean(axis=0))
     # drop the edge positions so the bulk statistics dominate
     lo, hi = args.n // 4, 3 * args.n // 4

@@ -123,7 +123,7 @@ def cmd_autocov(args) -> int:
 def cmd_montecarlo(args) -> int:
     from . import montecarlo as mc       # scipy.linalg loads only here
     config = mc.MCConfig(**_given(N=args.n, M=args.m, seed=args.seed,
-                                  k_max=args.k_max, sampler=args.sampler))
+                                  k_max=args.k_max))
     result = mc.run(config, checkpoint_path=args.checkpoint,
                     resume=args.resume, threads=_threads(args))
     est = result.estimate
@@ -189,7 +189,6 @@ def build_parser(config_values=None) -> argparse.ArgumentParser:
     mo.add_argument("--m", type=int, help="number of samples M")
     mo.add_argument("--seed", type=int)
     mo.add_argument("--k-max", type=int, dest="k_max")
-    mo.add_argument("--sampler", choices=["qr_haar", "sparse_cmv"])
     mo.add_argument("--checkpoint", help="checkpoint file for resumable runs")
     mo.add_argument("--resume", action="store_true")
     mo.add_argument("--threads", type=int,

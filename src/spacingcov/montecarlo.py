@@ -20,22 +20,19 @@ for a given config whatever the number of worker threads, at a fixed BLAS
 thread count: the cross-moment sums are BLAS products, formed in the
 folding thread, whose summation order follows that count (about 1 ulp
 apart between 1 and 2 OpenBLAS threads).  A checkpoint of the sums, a
-``store`` file keyed by the config, this module's code and the numpy and
-scipy versions, makes runs resumable.
+``store`` file keyed by the config, this module's code and constants and
+the numpy and scipy versions, makes runs resumable.
 
-Samplers: dense QR of a complex Ginibre matrix with the phase correction,
-and the Killip-Nenciu CMV model, both exact Haar; the CMV route is about
-thirty times faster at N = 256.  Each sampler draws a whole block of
-samples in one call.  The CMV sampler takes cos(theta) of each sample from
-one banded eigensolve of C + C^H, built in O(N) from the Verblunsky
-coefficients, and then decodes fixed blocks of samples at once (see
-``_decode``).  The Szego recursion in coefficient space gives the
-characteristic polynomial P of each sample.  P is self-inversive, so
-R(theta) = mu e^{-i N theta / 2} P(e^{i theta}) is a real trigonometric
-sum, and one pass over a table of e^{i f arccos c} gives R and R' at both
-candidates +-arccos c: each angle is the candidate of smaller |R / R'|
-after one Newton step.  The decoder uses no BLAS, so the angles do not
-depend on the BLAS thread count.
+Sampler: the Killip-Nenciu CMV model, exact Haar, drawing a whole block of
+samples in one call.  It takes cos(theta) of each sample from one banded
+eigensolve of C + C^H, built in O(N) from the Verblunsky coefficients, and
+then decodes fixed blocks of samples at once (see ``_decode``).  The Szego
+recursion in coefficient space gives the characteristic polynomial P of
+each sample.  P is self-inversive, so R(theta) = mu e^{-i N theta / 2}
+P(e^{i theta}) is a real trigonometric sum, and one pass over a table of
+e^{i f arccos c} gives R and R' at both candidates +-arccos c: each angle
+is the candidate of smaller |R / R'| after one Newton step.  The decoder
+uses no BLAS, so the angles do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -66,7 +63,8 @@ class MCConfig:
     M: int = 100_000
     seed: int = 1
     k_max: int = 12
-    sampler: str = "sparse_cmv"    # or "qr_haar"
+    # the one sampler; a field still, as perfbench/workloads.py passes it
+    sampler: str = "sparse_cmv"
     chunk_size: int = 500
 
     def __post_init__(self):
@@ -76,7 +74,7 @@ class MCConfig:
             raise ValueError("M must be >= 2")
         if not (1 <= self.k_max <= self.N - 2):
             raise ValueError("k_max must lie in [1, N - 2]")
-        if self.sampler not in ("qr_haar", "sparse_cmv"):
+        if self.sampler != "sparse_cmv":
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -91,20 +89,9 @@ class MCConfig:
 
 
 # ---------------------------------------------------------------------------
-# samplers: (N, count, rng) -> (count, N) sorted eigenangles in [0, 2 pi)
+# the sampler: (N, count, rng) -> (count, N) sorted eigenangles in [0, 2 pi)
 
 _DECODE_BLOCK = 32      # samples whose polynomials are built together
-
-
-def _sample_qr_haar(N: int, count: int, rng) -> np.ndarray:
-    out = np.empty((count, N))
-    for row in out:
-        Z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        Q, R = np.linalg.qr(Z)
-        d = np.diagonal(R)
-        Q = Q * (d / np.abs(d))
-        row[:] = np.angle(np.linalg.eigvals(Q))
-    return np.sort(np.mod(out, TWO_PI), axis=1)
 
 
 def _cmv_matrix(alpha: np.ndarray) -> np.ndarray:
@@ -255,6 +242,8 @@ def _verblunsky(N: int, rng) -> np.ndarray:
 def _sample_sparse_cmv(N: int, count: int, rng) -> np.ndarray:
     # per sample: draw alpha, one banded eigensolve for cos(theta); then
     # decode block by block, so a chunk's alpha is never held whole
+    if N < 2:
+        raise ValueError("N must be >= 2")
     out = np.empty((count, N))
     for lo in range(0, count, _DECODE_BLOCK):
         alpha = np.array([_verblunsky(N, rng)
@@ -265,18 +254,13 @@ def _sample_sparse_cmv(N: int, count: int, rng) -> np.ndarray:
     return out
 
 
-_SAMPLERS = {"qr_haar": _sample_qr_haar, "sparse_cmv": _sample_sparse_cmv}
+# a table of one, read at call time: perfbench/tracing.py wraps its entries
+_SAMPLERS = {"sparse_cmv": _sample_sparse_cmv}
 
 
-def _sample(N: int, count: int, rng, sampler: str) -> np.ndarray:
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return _SAMPLERS[sampler](N, count, rng)
-
-
-def sample_cue_eigenangles(N: int, rng, sampler: str = "qr_haar") -> np.ndarray:
+def sample_cue_eigenangles(N: int, rng) -> np.ndarray:
     """One sorted CUE(N) eigenangle sample in [0, 2 pi)."""
-    return _sample(N, 1, rng, sampler)[0]
+    return _sample_sparse_cmv(N, 1, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +275,8 @@ class CueBatch:
     unfolded_spacings: np.ndarray | None = None
 
     @classmethod
-    def generate(cls, N: int, M: int, rng, sampler: str = "qr_haar"):
-        ang = _sample(N, M, rng, sampler)
+    def generate(cls, N: int, M: int, rng):
+        ang = _sample_sparse_cmv(N, M, rng)
         return cls(ang, np.diff(ang, axis=1))
 
 
@@ -485,7 +469,8 @@ _SOURCE_DIGEST = store.digest((__file__,))
 
 
 def _checkpoint_key(config: MCConfig) -> dict:
-    return store.key(config, _SOURCE_DIGEST, scipy=scipy.__version__)
+    return store.key(config, _SOURCE_DIGEST, ["montecarlo"],
+                     scipy=scipy.__version__)
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):

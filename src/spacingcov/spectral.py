@@ -88,9 +88,10 @@ SUB_LEN = 10.0                 # max sub-panel length; resolves e^{+-i lam}
 ERR_CAP = 1e-6                 # an error estimate beyond this raises
 
 # the modules whose code computes S(omega); spectrum.npz is keyed by their
-# code as it was imported
-_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
-                 for name in ("painleve.py", "spectral.py", "fredholm.py"))
+# code as it was imported and by their constants as they are
+_PRODUCERS = ("painleve", "spectral", "fredholm")
+_SOURCES = tuple(os.path.join(os.path.dirname(__file__), f"{name}.py")
+                 for name in _PRODUCERS)
 _SOURCE_DIGEST = store.digest(_SOURCES)
 
 
@@ -382,10 +383,10 @@ class SpectrumInterpolant:
         edges.append(np.pi)
         if cache_path is None:
             cache_path = os.environ.get("SPACINGCOV_SPECTRUM_CACHE")
-        # the edges follow from OMEGA_MIN, which the source digest names,
-        # and no scipy code computes S, so neither is a part of the key; a
-        # stale file is rebuilt
-        key = store.key(config, _SOURCE_DIGEST, nodes=nodes)
+        # the edges follow from OMEGA_MIN, a part of the key; no scipy code
+        # computes S, so the scipy version is not one.  A stale file is
+        # rebuilt
+        key = store.key(config, _SOURCE_DIGEST, _PRODUCERS, nodes=nodes)
         names = [f"c{i}" for i in range(len(edges) - 1)]
         if cache_path:
             try:

@@ -2,6 +2,7 @@
 them.  Loads no scipy."""
 
 import hashlib
+import importlib
 import json
 import os
 from dataclasses import asdict
@@ -23,11 +24,20 @@ def digest(paths) -> str:
     return hashlib.sha256(code).hexdigest()
 
 
-def key(config, source: str, **parts) -> dict:
-    """The config, the ``digest`` of the producer's code, the numpy version
-    and the further ``parts`` (a library version, a node count)."""
+def key(config, source: str, producers, **parts) -> dict:
+    """The config, the ``digest`` of the producer's code, the numpy version,
+    the repr of each public upper-case constant of the ``producers``
+    (module names of this package), read now and named ``module.NAME``, and
+    the further ``parts`` (a library version, a node count).  So state made
+    under a patched constant is not taken for that of its default."""
+    constants = {}
+    for name in producers:
+        module = importlib.import_module(f"{__package__}.{name}")
+        constants.update((f"{name}.{attr}", repr(value))
+                         for attr, value in vars(module).items()
+                         if attr.isupper() and not attr.startswith("_"))
     return {"config": asdict(config), "source": source,
-            "numpy": np.__version__, **parts}
+            "numpy": np.__version__, **constants, **parts}
 
 
 def save(path, key: dict, arrays: dict):

@@ -32,9 +32,12 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_unknown_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["spectrum", "--bogus", "1"])
-        assert exc.value.code == 2
+        # --sampler chose between two samplers; one is left
+        for argv in (["spectrum", "--bogus", "1"],
+                     ["montecarlo", "--sampler", "sparse_cmv"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_threads_only_on_montecarlo(self, capsys):
         # only the Monte Carlo run has parallel workers to cap
@@ -215,14 +218,15 @@ class TestConfigFile:
 
     def test_misspelled_config_key_is_usage_error(self, tmp_path, capsys):
         # unchecked, k_mx and sed were dropped: a run with seed 1 and
-        # k_max 12 exited 0
+        # k_max 12 exited 0.  sampler names a flag that was deleted
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text("n = 16\nm = 20\nk_mx = 3\nsed = 9\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "montecarlo"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "k_mx" in err and "sed" in err
+        for text, named in (("k_mx = 3\nsed = 9\n", "k_mx, sed"),
+                            ("sampler = qr_haar\n", "sampler")):
+            cfg.write_text("n = 16\nm = 20\n" + text)
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg), "montecarlo"])
+            assert exc.value.code == 2
+            assert f"no flag takes {named}" in capsys.readouterr().err
 
 
 class TestFigure1:

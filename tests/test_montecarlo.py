@@ -50,23 +50,23 @@ class TestConfig:
             MCConfig(N=16, k_max=15)
         with pytest.raises(ValueError):
             MCConfig(sampler="dense")
+        with pytest.raises(ValueError):
+            MCConfig(sampler="qr_haar")         # the deleted dense sampler
 
 
 class TestSampling:
-    @pytest.mark.parametrize("sampler", ["qr_haar", "sparse_cmv"])
-    def test_sorted_in_range(self, sampler):
-        ang = sample_cue_eigenangles(24, _rng(1), sampler)
+    def test_sorted_in_range(self):
+        ang = sample_cue_eigenangles(24, _rng(1))
         assert ang.shape == (24,)
         assert np.all(np.diff(ang) >= 0)
         assert ang[0] >= 0 and ang[-1] < TWO_PI
 
     def test_samplers_agree_in_distribution(self):
-        # mid-position mean raw spacing = 2 pi / N for both samplers
+        # mid-position mean raw spacing = 2 pi / N
         N, M = 16, 3000
-        for sampler in ("qr_haar", "sparse_cmv"):
-            batch = CueBatch.generate(N, M, _rng(2), sampler)
-            mid = batch.raw_spacings[:, N // 2].mean()
-            assert mid == pytest.approx(TWO_PI / N, rel=0.05)
+        batch = CueBatch.generate(N, M, _rng(2))
+        mid = batch.raw_spacings[:, N // 2].mean()
+        assert mid == pytest.approx(TWO_PI / N, rel=0.05)
 
     def test_n2_gap_density(self):
         # first linear spacing of CUE(2): circular-gap density sin^2(g/2)/pi
@@ -83,7 +83,7 @@ class TestSampling:
     def test_spacing_histogram_matches_density(self):
         from spacingcov.spectral import spacing_distribution
         N, M = 64, 1500
-        batch = CueBatch.generate(N, M, _rng(3), "sparse_cmv")
+        batch = CueBatch.generate(N, M, _rng(3))
         delta = batch.raw_spacings.mean(axis=0)
         u = unfold(batch, delta)
         s = u.unfolded_spacings[:, 16:48].ravel()
@@ -101,8 +101,48 @@ class TestSampling:
         assert np.allclose(total, TWO_PI, atol=1e-12)
 
 
+class TestLawAtProductionN:
+    """The sampler's law at N = 256 against exact CUE identities, with M,
+    the seed and the bounds fixed before the draws were looked at.
+
+    Diaconis-Shahshahani (J. Appl. Probab. 31A, 1994): for Haar U in U(N)
+    and j, m <= N / 2, E|Tr U^m|^2 = m, E|Tr U^m|^4 = 2 m^2 and
+    E|Tr U^j|^2 |Tr U^m|^2 = j m (j != m).  So over M samples
+    z_m = (mean |Tr U^m|^2 - m) / (m / sqrt(M)), m = 1..128, are
+    uncorrelated with unit variance.  And Haar measure is invariant under
+    U -> e^{i phi} U, so the phase of det U, sum(theta) mod 2 pi, is
+    uniform.
+    """
+
+    N, M, SEED = 256, 2000, 12345
+
+    @pytest.fixture(scope="class")
+    def angles(self):
+        return CueBatch.generate(self.N, self.M, _rng(self.SEED)).eigenangles
+
+    def test_trace_moments(self, angles):
+        # chi^2 / dof of z_1..z_128 at most 1.43, the 99.9% point of
+        # chi^2 with 128 degrees of freedom over 128
+        z = np.exp(1j * angles)
+        power = z.copy()
+        m = np.arange(1, self.N // 2 + 1)
+        mean_sq = np.empty(m.size)
+        for i in range(m.size):             # power holds z^(i + 1)
+            mean_sq[i] = np.mean(np.abs(power.sum(axis=1)) ** 2)
+            power *= z
+        score = (mean_sq - m) / (m / np.sqrt(self.M))
+        assert np.mean(score ** 2) <= 1.43
+
+    def test_det_phase_uniform(self, angles):
+        # det C = +-conj(alpha_{N-1}): a sampler with a fixed last
+        # Verblunsky coefficient puts every phase at 0 or pi
+        from scipy.stats import kstest
+        phase = np.mod(angles.sum(axis=1), TWO_PI) / TWO_PI
+        assert kstest(phase, "uniform").pvalue > 1e-3
+
+
 def _verblunsky(N, rng):
-    # the sparse_cmv sampler's draws, in its order: N - 1 Beta radii, then
+    # the sampler's draws, in its order: N - 1 Beta radii, then
     # N uniform phases
     k = np.arange(N - 1)
     radii = np.sqrt(rng.beta(np.ones(N - 1), (N - 1 - k).astype(float)))
@@ -178,7 +218,7 @@ class TestSparseCMVDecoder:
         for seed in range(seeds):
             C = _dense_cmv(_verblunsky(N, _rng(seed)))
             ref = _cayley_angles(C)
-            got = sample_cue_eigenangles(N, _rng(seed), "sparse_cmv")
+            got = sample_cue_eigenangles(N, _rng(seed))
             err = np.abs(np.angle(np.exp(1j * (got - ref))))   # on the circle
             worst = max(worst, err.max())
         assert worst < 1e-9
@@ -288,8 +328,7 @@ class TestSparseCMVDecoder:
                 "from spacingcov.montecarlo import sample_cue_eigenangles\n"
                 "for seed in range(4):\n"
                 "    rng = np.random.Generator(np.random.Philox(seed))\n"
-                "    print(sample_cue_eigenangles(256, rng, 'sparse_cmv')"
-                ".tobytes().hex())")
+                "    print(sample_cue_eigenangles(256, rng).tobytes().hex())")
         runs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OMP_NUM_THREADS=threads,
@@ -300,15 +339,13 @@ class TestSparseCMVDecoder:
                                        check=True).stdout)
         assert runs[0] and runs[0] == runs[1]
 
-    @pytest.mark.parametrize("sampler", ["sparse_cmv", "qr_haar"])
-    def test_batch_matches_sequential_samples(self, sampler):
+    def test_batch_matches_sequential_samples(self):
         # one sampler call for the batch draws in the same order as one
         # call per sample; 70 samples span three decode blocks
         N, M = 24, 70
-        batch = CueBatch.generate(N, M, _rng(7), sampler)
+        batch = CueBatch.generate(N, M, _rng(7))
         rng = _rng(7)
-        rows = np.array([sample_cue_eigenangles(N, rng, sampler)
-                         for _ in range(M)])
+        rows = np.array([sample_cue_eigenangles(N, rng) for _ in range(M)])
         assert np.max(np.abs(batch.eigenangles - rows)) <= 1e-13
 
 
@@ -459,8 +496,7 @@ class TestStreamingRun:
             rng = np.random.Generator(np.random.Philox(children[c]))
             lo, hi = cfg.chunk_bounds(c)
             for _ in range(hi - lo):
-                rows.append(np.diff(sample_cue_eigenangles(
-                    cfg.N, rng, cfg.sampler)))
+                rows.append(np.diff(sample_cue_eigenangles(cfg.N, rng)))
         raw = np.array(rows)
         delta = raw.mean(axis=0)
         s = raw / delta
@@ -528,7 +564,7 @@ class TestStreamingRun:
             assert R.dtype == np.float64
             assert R.shape == (hi - lo, cfg.N - 1)
             rng = np.random.Generator(np.random.Philox(children[c]))
-            ang = CueBatch.generate(cfg.N, hi - lo, rng, cfg.sampler)
+            ang = CueBatch.generate(cfg.N, hi - lo, rng)
             assert np.array_equal(R, ang.raw_spacings)
 
     def test_fold_matches_per_chunk_sums(self):
@@ -618,6 +654,20 @@ class TestStreamingRun:
         monkeypatch.setattr(mc, "_SOURCE_DIGEST", store.digest([same]))
         monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
         with pytest.raises(CheckpointMismatch, match="numpy"):
+            mc.run(cfg, checkpoint_path=ck, resume=True)
+
+    def test_checkpoint_keyed_by_constant_values(self, tmp_path, monkeypatch):
+        # written under LEAD_BATCHES = 3, the checkpoint holds 3 batches of
+        # lead sums where a default run of its 7 chunks holds 7: a default
+        # resume refuses it and names the constant
+        cfg = MCConfig(N=24, M=650, seed=9, k_max=3, chunk_size=100)
+        ck = str(tmp_path / "ck.npz")
+        with monkeypatch.context() as patched:
+            patched.setattr(mc, "LEAD_BATCHES", 3)
+            mc.run(cfg, checkpoint_path=ck)
+            mc.run(cfg, checkpoint_path=ck, resume=True)  # same: resumed
+        with pytest.raises(CheckpointMismatch,
+                           match=r"different montecarlo\.LEAD_BATCHES$"):
             mc.run(cfg, checkpoint_path=ck, resume=True)
 
     def test_keys_name_the_code_as_imported(self, tmp_path):
@@ -758,8 +808,7 @@ class TestLevelStatistics:
         for c in range(cfg.n_chunks):
             rng = np.random.Generator(np.random.Philox(children[c]))
             lo, hi = cfg.chunk_bounds(c)
-            s = np.array([np.diff(sample_cue_eigenangles(cfg.N, rng,
-                                                         cfg.sampler))
+            s = np.array([np.diff(sample_cue_eigenangles(cfg.N, rng))
                           for _ in range(hi - lo)])[:, :L] / res.delta[:L]
             # sum of s s^T - 1 over [:j, :j] is lambda_j^2 - j^2
             j = np.array([k + 1, k, k - 1])

@@ -670,3 +670,46 @@ class TestInterpolant:
         monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
         build()                             # another numpy: rebuilt
         assert calls
+
+    @pytest.mark.parametrize("part, value", [
+        ("painleve.TRUNCATION", 1e-18), ("spectral.TAIL_START", 400.0),
+        ("spectral.OMEGA_MIN", 0.04), ("fredholm.DET_TOL", 1e-13)])
+    def test_cache_file_keyed_by_constant_values(self, tmp_path, monkeypatch,
+                                                 part, value):
+        # a file built under a patched constant is refused by a default
+        # build, which names the constant, and rebuilt.  With OMEGA_MIN =
+        # 0.04 the file holds seven panels: the default's six would load
+        calls, refused = [], []
+
+        def counting_stub(omega, config=spectral.DEFAULT_SPECTRUM_CONFIG):
+            calls.append(omega)
+            return omega, 0.0
+
+        load = store.load
+
+        def recording_load(*args):
+            try:
+                return load(*args)
+            except store.StaleState as exc:
+                refused.append(str(exc))
+                raise
+
+        monkeypatch.setattr(spectral, "power_spectrum", counting_stub)
+        monkeypatch.setattr(store, "load", recording_load)
+        path = str(tmp_path / "spectrum.npz")
+
+        def build():
+            calls.clear()
+            refused.clear()
+            SpectrumInterpolant.build(nodes=4, cache_path=path)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(f"spacingcov.{part}", value)
+            build()
+            build()                         # same values: reused
+            assert calls == [] and refused == []
+        build()                             # the defaults: rebuilt
+        assert calls and refused == [f"{path} was produced by a different "
+                                     f"{part}"]
+        build()
+        assert calls == []
