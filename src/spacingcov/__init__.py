@@ -4,13 +4,13 @@
   sine-kernel determinant oracle)
 - spectral / autocov: power spectrum of spacings and its Fourier inversion,
   plus closed-form large-lag asymptotics
-- montecarlo: CUE(N) sampling with streaming statistics
+- montecarlo / cmv: CUE(N) Monte Carlo with streaming statistics, and its
+  sampler (the Killip-Nenciu CMV model)
 - cli: the `spacingcov` command
 
-The exact route needs numpy alone; importing the package loads no scipy.
-scipy is loaded by montecarlo (LAPACK's banded eigensolver), whose names
-below resolve on first use, and by `autocov_asymptotic_ci` (the cosine
-integral).
+The exact route and the Monte Carlo sampler need numpy alone; importing
+the package loads no scipy, and only `autocov_asymptotic_ci` (the cosine
+integral) loads it.  The montecarlo names below resolve on first use.
 """
 
 from .autocov import (AutocovSeries, autocov_asymptotic, autocov_asymptotic_ci,
@@ -38,7 +38,7 @@ __all__ = [
     "spacing_distribution", "sum_rule_residual", "unfold",
 ]
 
-# montecarlo imports scipy.linalg, which the exact route does not need
+# imported on first use: the exact route needs none of montecarlo
 _MONTECARLO_NAMES = frozenset({
     "CueBatch", "MCConfig", "MCEstimate", "aggregate",
     "finite_n_power_spectra", "sample_cue_eigenangles", "unfold"})

@@ -121,7 +121,7 @@ def cmd_autocov(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    from . import montecarlo as mc       # scipy.linalg loads only here
+    from . import montecarlo as mc       # loaded by this command alone
     config = mc.MCConfig(**_given(N=args.n, M=args.m, seed=args.seed,
                                   k_max=args.k_max))
     result = mc.run(config, checkpoint_path=args.checkpoint,

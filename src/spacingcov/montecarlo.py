@@ -20,34 +20,23 @@ for a given config whatever the number of worker threads, at a fixed BLAS
 thread count: the cross-moment sums are BLAS products, formed in the
 folding thread, whose summation order follows that count (about 1 ulp
 apart between 1 and 2 OpenBLAS threads).  A checkpoint of the sums, a
-``store`` file keyed by the config, this module's code and constants and
-the numpy and scipy versions, makes runs resumable.
+``store`` file keyed by the config, the code and constants of this module
+and of ``cmv`` and the numpy version, makes runs resumable.
 
-Sampler: the Killip-Nenciu CMV model, exact Haar, drawing a whole block of
-samples in one call.  It takes cos(theta) of each sample from one banded
-eigensolve of C + C^H, built in O(N) from the Verblunsky coefficients, and
-then decodes fixed blocks of samples at once (see ``_decode``).  The Szego
-recursion in coefficient space gives the characteristic polynomial P of
-each sample.  P is self-inversive, so R(theta) = mu e^{-i N theta / 2}
-P(e^{i theta}) is a real trigonometric sum, and one pass over a table of
-e^{i f arccos c} gives R and R' at both candidates +-arccos c: each angle
-is the candidate of smaller |R / R'| after one Newton step.  The decoder
-uses no BLAS, so the angles do not depend on the BLAS thread count.
+Samples come from ``cmv.sample``, the Killip-Nenciu CMV model, exact Haar.
 """
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-import scipy
-from scipy.linalg import eig_banded
 
-from . import store
+from . import cmv, store
 
-TWO_PI = 2.0 * np.pi
 C_99 = 2.5758                      # 99% two-sided normal quantile
 LEAD = 66                          # leading window of the level statistics
 LEAD_BATCHES = 100                 # at most this many batches of its sums
@@ -88,179 +77,13 @@ class MCConfig:
         return lo, min(lo + self.chunk_size, self.M)
 
 
-# ---------------------------------------------------------------------------
-# the sampler: (N, count, rng) -> (count, N) sorted eigenangles in [0, 2 pi)
-
-_DECODE_BLOCK = 32      # samples whose polynomials are built together
-
-
-def _cmv_matrix(alpha: np.ndarray) -> np.ndarray:
-    """K = C + C^H for the CMV matrix C = L M of alpha, in the upper banded
-    storage of ``eig_banded`` (rows: second superdiagonal, first, diagonal).
-
-    With alpha_{-1} = -1 and rho_j = sqrt(1 - |alpha_j|^2), the 2 x 2 blocks
-    [[conj(alpha_j), rho_j], [rho_j, -alpha_j]] of L (even j) and M (odd j)
-    multiply out to
-        K[j, j]     = -2 Re(conj(alpha_j) alpha_{j-1}),
-        K[j, j + 1] = rho_j (alpha_{j+1} - alpha_{j-1}), conjugated for even j,
-        K[j, j + 2] = rho_j rho_{j+1}.
-    """
-    prev = np.concatenate(([-1.0], alpha[:-1]))
-    rho = np.sqrt(np.clip(1.0 - np.abs(alpha[:-1]) ** 2, 0.0, None))
-    d = alpha[1:] - prev[:-1]
-    d[::2] = d[::2].conj()
-    ab = np.zeros((3, alpha.size), dtype=complex)
-    ab[0, 2:] = rho[:-1] * rho[1:]
-    ab[1, 1:] = rho * d
-    ab[2] = -2.0 * (alpha.conj() * prev).real
-    return ab
-
-
-def _paraorthogonal(alpha: np.ndarray) -> np.ndarray:
-    """Coefficients (N + 1, B), constant term first, of
-    P = z Phi_{N-1} - conj(alpha_{N-1}) Phi*_{N-1} for the rows of alpha
-    (B, N): the characteristic polynomial det(z - C) of the CMV matrix.
-
-    The Szego recursion in coefficient space, from Phi_0 = Phi*_0 = 1:
-        Phi_{n+1} = z Phi_n - conj(alpha_n) Phi*_n,
-        Phi*_{n+1} = Phi*_n - alpha_n z Phi_n.
-    Phi_n sits in rows N - n .. N of its buffer, so z Phi_n is the same
-    memory read from row N - n - 1, which is still zero; Phi*_n sits in rows
-    0 .. n.  Each step is four in-place ufuncs on contiguous (n + 2, B) rows.
-    """
-    B, N = alpha.shape
-    phi = np.zeros((N + 1, B), dtype=complex)
-    phi_star = np.zeros((N + 1, B), dtype=complex)
-    phi[N] = phi_star[0] = 1.0
-    a = np.ascontiguousarray(alpha.T)
-    a_conj = a.conj()
-    u, v = np.empty_like(phi), np.empty_like(phi)
-    for n in range(N):
-        z_phi, star = phi[N - n - 1:], phi_star[:n + 2]
-        u_n, v_n = u[:n + 2], v[:n + 2]
-        np.multiply(a_conj[n], star, out=u_n)
-        np.multiply(a[n], z_phi, out=v_n)
-        np.subtract(z_phi, u_n, out=z_phi)
-        np.subtract(star, v_n, out=star)
-    return phi
-
-
-def _real_form(alpha: np.ndarray):
-    """(f, A, B): frequencies f (F,) and coefficients A, B (rows of alpha, F)
-    of the real function
-        R(theta) = mu e^{-i N theta / 2} P(e^{i theta})
-                 = sum_f A_f cos(f theta) + B_f sin(f theta),
-    mu^2 = -alpha_{N-1}, f = k - N/2 >= 0 (half-integers for odd N).
-
-    P is self-inversive, P* = -alpha_{N-1} P, so the coefficient c_k = mu p_k
-    of e^{i f theta} is the conjugate of that of e^{-i f theta}.  Each pair is
-    summed as computed, so R is the real part of the rounded sum.
-    """
-    N = alpha.shape[1]
-    c = _paraorthogonal(alpha) * np.sqrt(-alpha[:, -1])
-    k = np.arange((N + 1) // 2, N + 1)
-    A = (c[k].real + c[N - k].real).T
-    B = (c[N - k].imag - c[k].imag).T
-    if N % 2 == 0:
-        A[:, 0] *= 0.5                  # f = 0 is its own pair
-    return k - 0.5 * N, A, B
-
-
-def _trig_sums(f, A, B, half: np.ndarray) -> np.ndarray:
-    """(C, S, C1, S1), each shaped like half (rows of A, N): the sums over f
-    of A_f cos(f h), B_f sin(f h), f B_f cos(f h) and f A_f sin(f h) at the
-    angles h = half in [0, pi].  So R(+-h) = C +- S and R'(+-h) = C1 -+ S1.
-
-    The table of e^{i f h} is built by repeated multiplication by e^{i h},
-    one row at a time: (N, N/2 + 1) complex, 0.5 MB at N = 256.  It is read
-    by einsum, which uses no BLAS, so the sums do not depend on the BLAS
-    thread count.
-    """
-    out = np.empty((4, *half.shape))
-    table = np.empty((half.shape[1], f.size), dtype=complex)
-    for i, h in enumerate(half):
-        table[:, 0] = np.exp(1j * f[0] * h)
-        table[:, 1:] = np.exp(1j * h)[:, None]
-        np.multiply.accumulate(table, axis=1, out=table)
-        for row, part, w in zip(out[:, i], (table.real, table.imag) * 2,
-                                (A[i], B[i], f * B[i], f * A[i])):
-            np.einsum("jf,f->j", part, w, out=row)
-    return out
-
-
-class DecodeError(RuntimeError):
-    """A sample's decoded angles are not N distinct zeros of its
-    characteristic polynomial (two cosines gave the same zero); no angles
-    are returned."""
-
-
-def _decode(alpha: np.ndarray, cosines: np.ndarray) -> np.ndarray:
-    """Sorted eigenangles in [0, 2 pi) of the CMV matrices of the rows of
-    alpha (B, N), given their cosines (B, N).
-
-    The eigenvalues are the zeros of P on |z| = 1, the zeros of the real R
-    of ``_real_form``.  One pass of ``_trig_sums`` at h = arccos c gives R
-    and R' at both candidates +-h; each angle is the candidate of smaller
-    |R / R'| after one Newton step theta - R / R', which removes the arccos
-    error (up to 1e-8 near 0 and pi).
-
-    R' alternates in sign from one simple zero of R to the next, and
-    R(theta + 2 pi) = (-1)^N R(theta).  If the sorted angles break that
-    alternation, a zero was taken twice and another missed, as when the
-    spectrum holds exact pairs +-theta; then DecodeError is raised.  Rows
-    are independent: a block decodes to the same angles as its rows one at
-    a time.
-    """
-    N = alpha.shape[1]
-    half = np.arccos(np.clip(cosines, -1.0, 1.0))
-    C, S, C1, S1 = _trig_sums(*_real_form(alpha), half)
-    slope_up, slope_down = C1 - S1, C1 + S1
-    step_up, step_down = (C + S) / slope_up, (C - S) / slope_down
-    up = np.abs(step_up) <= np.abs(step_down)
-    theta = np.where(up, half - step_up, -half - step_down)
-    slope = np.where(up, slope_up, slope_down)
-    if N % 2:
-        slope[theta < 0] *= -1.0        # these move on by 2 pi
-    theta = np.mod(theta, TWO_PI)
-    order = np.argsort(theta, axis=1)
-    falling = np.signbit(np.take_along_axis(slope, order, axis=1))
-    if np.any(falling[:, 1:] == falling[:, :-1]):
-        raise DecodeError("a zero of the characteristic polynomial was "
-                          "decoded twice")
-    return np.take_along_axis(theta, order, axis=1)
-
-
-def _verblunsky(N: int, rng) -> np.ndarray:
-    # Killip-Nenciu Verblunsky coefficients of a Haar unitary:
-    # |alpha_k|^2 ~ Beta(1, N - 1 - k), |alpha_{N-1}| = 1, uniform phases
-    radii = np.sqrt(rng.beta(np.ones(N - 1), np.arange(N - 1, 0, -1.0)))
-    alpha = np.exp(1j * TWO_PI * rng.random(N))
-    alpha[:-1] *= radii
-    return alpha
-
-
-def _sample_sparse_cmv(N: int, count: int, rng) -> np.ndarray:
-    # per sample: draw alpha, one banded eigensolve for cos(theta); then
-    # decode block by block, so a chunk's alpha is never held whole
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    out = np.empty((count, N))
-    for lo in range(0, count, _DECODE_BLOCK):
-        alpha = np.array([_verblunsky(N, rng)
-                          for _ in range(min(_DECODE_BLOCK, count - lo))])
-        two_cos = np.array([eig_banded(_cmv_matrix(a), lower=False,
-                                       eigvals_only=True) for a in alpha])
-        out[lo:lo + len(alpha)] = _decode(alpha, 0.5 * two_cos)
-    return out
-
-
 # a table of one, read at call time: perfbench/tracing.py wraps its entries
-_SAMPLERS = {"sparse_cmv": _sample_sparse_cmv}
+_SAMPLERS = {"sparse_cmv": cmv.sample}
 
 
 def sample_cue_eigenangles(N: int, rng) -> np.ndarray:
     """One sorted CUE(N) eigenangle sample in [0, 2 pi)."""
-    return _sample_sparse_cmv(N, 1, rng)[0]
+    return cmv.sample(N, 1, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +99,7 @@ class CueBatch:
 
     @classmethod
     def generate(cls, N: int, M: int, rng):
-        ang = _sample_sparse_cmv(N, M, rng)
+        ang = cmv.sample(N, M, rng)
         return cls(ang, np.diff(ang, axis=1))
 
 
@@ -464,13 +287,16 @@ def _finalize(config: MCConfig, acc: _Accumulators) -> MCRunResult:
     return MCRunResult(config, delta, est, cov, acc.lead_cross)
 
 
-# the code that fills the checkpoint's sums, as it was imported
-_SOURCE_DIGEST = store.digest((__file__,))
+# the modules whose code fills the checkpoint's sums; it is keyed by their
+# code as it was imported and by their constants as they are
+_PRODUCERS = ("montecarlo", "cmv")
+_SOURCES = tuple(os.path.join(os.path.dirname(__file__), f"{name}.py")
+                 for name in _PRODUCERS)
+_SOURCE_DIGEST = store.digest(_SOURCES)
 
 
 def _checkpoint_key(config: MCConfig) -> dict:
-    return store.key(config, _SOURCE_DIGEST, ["montecarlo"],
-                     scipy=scipy.__version__)
+    return store.key(config, _SOURCE_DIGEST, _PRODUCERS)
 
 
 def _save_checkpoint(path, config: MCConfig, acc: _Accumulators):

@@ -45,8 +45,8 @@ def mc_acceptance_run():
     The checkpoint lives next to the spectrum cache so repeated sessions
     resume instead of re-sampling; the statistics are identical either way.
     A checkpoint of another configuration, of another montecarlo.py (sums
-    from an earlier sampler), of other values of its constants or of other
-    numpy or scipy versions is refused and replaced by a fresh run.
+    from an earlier sampler), of other values of its constants or of
+    another numpy version is refused and replaced by a fresh run.
     """
     ck = os.path.join(os.path.dirname(_CACHE), "mc_acceptance.npz")
     # the sums are byte-identical at any worker count (criterion 11)
