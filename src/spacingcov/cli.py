@@ -73,10 +73,12 @@ def _given(**values) -> dict:
 
 
 def _threads(args) -> int:
+    # one worker unless asked: the sampler is many short numpy calls, and a
+    # second worker thread slowed it on a 2-CPU host (README)
     if args.threads is not None:
         return args.threads
     env = os.environ.get("SPACINGCOV_THREADS")
-    return int(env) if env else (os.cpu_count() or 1)
+    return int(env) if env else 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ on a grid of GRID_PER_ZERO N angles, whose sign changes bracket each zero
 in its own cell; one exact pass of R and its first three derivatives at
 the zero of each cell's cubic ends almost every zero, and a Newton search
 kept inside the brackets ends the rest.  At N = 256 a sample takes about
-0.85 ms on one core of a shared 2.1 GHz Xeon: 0.05 ms drawing alpha,
-0.19 ms in the recursion, 0.12 ms bracketing (and 0.08 ms more on average
+0.85 ms on one core of a shared 2.1 GHz Xeon: 0.06 ms drawing alpha,
+0.18 ms in the recursion, 0.17 ms bracketing (and 0.08 ms more on average
 cutting the cells of the one sample in eight whose grid holds two zeros in
-a cell) and 0.43 ms in the exact passes.  No eigensolver runs: the module
-needs no LAPACK and no scipy, and the decoder uses no BLAS, so the angles
-do not depend on the BLAS thread count.
+a cell) and 0.36 ms in the exact passes, most of it in the Horner pass
+over every zero.  No eigensolver runs: the module needs no LAPACK and no
+scipy, and the decoder uses no BLAS, so the angles do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -39,27 +40,26 @@ def _paraorthogonal(alpha: np.ndarray) -> np.ndarray:
     P = z Phi_{N-1} - conj(alpha_{N-1}) Phi*_{N-1} for the rows of alpha
     (B, N): the characteristic polynomial det(z - C) of the CMV matrix.
 
-    The Szego recursion in coefficient space, from Phi_0 = Phi*_0 = 1:
+    The Szego recursion in coefficient space, from Phi_0 = 1:
         Phi_{n+1} = z Phi_n - conj(alpha_n) Phi*_n,
-        Phi*_{n+1} = Phi*_n - alpha_n z Phi_n.
-    Phi_n sits in rows N - n .. N of its buffer, so z Phi_n is the same
-    memory read from row N - n - 1, which is still zero; Phi*_n sits in rows
-    0 .. n.  Each step is four in-place ufuncs on contiguous (n + 2, B) rows.
+    with Phi*_n[k] = conj(Phi_n[n - k]), so the step subtracts
+    conj(alpha_n Phi_n[n - k]) from coefficient k of z Phi_n.  Phi_n sits in
+    rows N - n .. N of the one buffer, so z Phi_n is the same memory read
+    from row N - n - 1, which is still zero.  Each step is three in-place
+    ufuncs on contiguous (n + 1, B) rows: u = alpha_n Phi_n reversed,
+    conj(u), and z Phi_n -= u.  As conj(x y) = conj(x) conj(y) exactly, P
+    has the bits of the recursion that carries Phi*_n in a second buffer.
     """
     B, N = alpha.shape
     phi = np.zeros((N + 1, B), dtype=complex)
-    phi_star = np.zeros((N + 1, B), dtype=complex)
-    phi[N] = phi_star[0] = 1.0
+    phi[N] = 1.0
     a = np.ascontiguousarray(alpha.T)
-    a_conj = a.conj()
-    u, v = np.empty_like(phi), np.empty_like(phi)
+    u = np.empty_like(phi)
     for n in range(N):
-        z_phi, star = phi[N - n - 1:], phi_star[:n + 2]
-        u_n, v_n = u[:n + 2], v[:n + 2]
-        np.multiply(a_conj[n], star, out=u_n)
-        np.multiply(a[n], z_phi, out=v_n)
+        u_n, z_phi = u[:n + 1], phi[N - n - 1:N]
+        np.multiply(a[n], phi[N:N - n - 1:-1], out=u_n)
+        np.conjugate(u_n, out=u_n)
         np.subtract(z_phi, u_n, out=z_phi)
-        np.subtract(star, v_n, out=star)
     return phi
 
 
@@ -89,27 +89,86 @@ def _trig_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
     theta (rows of A, n): the sum over f of A_f cos(f h) + B_f sin(f h) at
     h = theta, and its derivatives in h.
 
-    R^(m)(h) is the real part of e^{i f_0 h} times the polynomial in e^{i h}
-    with coefficients (A_f - i B_f) (i f)^m, summed by Horner's scheme for
-    the four m at once, a batch of rows at a time: about _TABLE complex
-    entries at most.  It uses ufuncs alone, no BLAS, so the sums do not
-    depend on the BLAS thread count.
+    R^(m)(h) is the real part of i^m e^{i f_0 h} (f_0 + E)^m q(e^{i h}),
+    where q(z) = sum_j (A_f - i B_f) z^j, f = f_0 + j, and E = z d/dz.  A
+    set with at most _TABLE terms (angles times frequencies), such as most
+    Newton follow-ups and the cuts of ``_refine``, is summed term by term by
+    ``_power_sums``; a larger one, such as the pass over every zero, by
+    Horner's scheme in ``_horner_sums``, whose steps cost the same for one
+    angle as for a few hundred.  Either way R^(m) carries a rounding error
+    of order (N/2)^m F eps sum_f (|A_f| + |B_f|), F frequencies: against a
+    long-double sum at N = 3 to 256 both stay below 0.6 of that.  Both use
+    ufuncs alone, no BLAS, so the sums do not depend on the BLAS thread
+    count.
+    """
+    if theta.size * f.size <= _TABLE:
+        return _power_sums(f, A, B, theta)
+    return _horner_sums(f, A, B, theta)
+
+
+def _power_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
+    """``_trig_sums`` with no loop over f: e^{i f h} as running products of
+    e^{i h} from e^{i f_0 h} (their phase errors grow as f eps, not as the
+    f h eps of exp(i f h)), times A_f - i B_f, contracted with (i f)^m by
+    np.einsum, which calls no BLAS at its default optimize=False."""
+    e = np.empty((*theta.shape, f.size), dtype=complex)
+    e[..., 0] = np.exp(1j * f[0] * theta)
+    e[..., 1:] = np.exp(1j * theta)[..., None]
+    np.multiply.accumulate(e, axis=-1, out=e)
+    e *= (A - 1j * B)[:, None]
+    return np.einsum("rnf,fm->mrn", e, (1j * f[:, None]) ** np.arange(4)).real
+
+
+def _horner_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
+    """``_trig_sums`` by Horner's scheme for q and its Taylor coefficients
+    q', q''/2 and q'''/6 at z = e^{i h}, a batch of rows of theta at a time.
+    Each is summed in its own array of the batch's shape, so every step
+    multiplies by z in the same shape; a batch holds at most _TABLE
+    angles, or one row.  At the end
+        E q = z q',    E^2 q = z q' + z^2 q'',
+        E^3 q = z q' + 3 z^2 q'' + z^3 q''',
+    shifted to (f_0 + E)^m q for odd N.  q's recurrence is Horner's scheme
+    for R alone, so R has the bits it would have alone.
     """
     rows, n = theta.shape
-    step = max(1, _TABLE // (4 * max(n, f.size)))
-    powers = ((1j * f[::-1, None]) ** np.arange(4))[..., None, None]
+    step = max(1, _TABLE // max(n, f.size))
     out = np.empty((4, rows, n))
     for r in range(0, rows, step):
         h = theta[r:r + step]
-        c = (A[r:r + step] - 1j * B[r:r + step]).T[::-1]
-        coef = powers * c[:, None, :, None]     # highest frequency first
+        coef = (A[r:r + step] - 1j * B[r:r + step]).T[::-1, :, None]
         z = np.exp(1j * h)
-        P = np.zeros((4, *h.shape), dtype=complex)
-        for c in coef:
-            P *= z
-            P += c
-        P *= np.exp(1j * f[0] * h)
-        out[:, r:r + step] = P.real
+        s = [np.zeros(h.shape, dtype=complex) for _ in range(4)]
+        s0, s1, s2, s3 = s
+        for c in coef:                  # highest frequency first
+            s3 *= z
+            s3 += s2
+            s2 *= z
+            s2 += s1
+            s1 *= z
+            s1 += s0
+            s0 *= z
+            s0 += c
+        s1 *= z                         # E q
+        s2 *= z
+        s2 *= z                         # z^2 q'' / 2
+        for _ in range(3):
+            s3 *= z                     # z^3 q''' / 6
+        s3 += s2
+        s3 *= 6.0
+        s3 += s1                        # E^3 q
+        s2 *= 2.0
+        s2 += s1                        # E^2 q
+        if f[0]:                        # (f_0 + E)^m q, by the Taylor shift
+            for k in range(1, 4):
+                for m in range(3, k - 1, -1):
+                    s[m] += f[0] * s[m - 1]
+            z = np.exp(1j * f[0] * h)
+            for x in s:
+                x *= z
+        out[0, r:r + step] = s0.real
+        np.negative(s1.imag, out=out[1, r:r + step])
+        np.negative(s2.real, out=out[2, r:r + step])
+        out[3, r:r + step] = s3.imag
     return out
 
 
@@ -122,14 +181,19 @@ class DecodeError(RuntimeError):
 def _values(f, A, B, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """``_trig_sums`` (4, n) at the angles theta (n,) of the rows row
     (ascending) of A and B: one call over those rows, each padded with its
-    first angle to the longest row's count."""
+    first angle to the longest row's count.  Rows of one count, as in the
+    pass over every zero, are passed as they are: their index and padded
+    arrays would hold 0.1 MB more while the Horner pass runs."""
     first = np.flatnonzero(np.diff(row, prepend=-1))
     counts = np.diff(first, append=row.size)
+    rows = row[first]
+    if np.all(counts == counts[0]):
+        return _trig_sums(f, A[rows], B[rows],
+                          theta.reshape(rows.size, -1)).reshape(4, -1)
     group = np.repeat(np.arange(first.size), counts)
     at = np.arange(row.size) - first[group]
     padded = np.repeat(theta[first, None], counts.max(), axis=1)
     padded[group, at] = theta
-    rows = row[first]
     return _trig_sums(f, A[rows], B[rows], padded)[:, group, at]
 
 

@@ -195,6 +195,33 @@ def _cayley_angles(C):
     return np.sort(np.mod(phi + 2.0 * np.arctan(x), TWO_PI))
 
 
+def _both_regimes(h, N):
+    """The angles h (rows, n), cut or cycled along each row to a count whose
+    product with the N // 2 + 1 frequencies is at most cmv._TABLE, where
+    _trig_sums sums directly, and to one above it, where it takes Horner's
+    scheme; one of the two is h itself."""
+    rows, n = h.shape
+    most = cmv._TABLE // (rows * (N // 2 + 1))
+    return [h[:, np.arange(k) % n] for k in (min(n, most), max(n, most + 1))]
+
+
+def _two_buffer_recursion(alpha):
+    """The Szego recursion that carries Phi*_n in its own buffer,
+    Phi*_{n+1} = Phi*_n - alpha_n z Phi_n, in the layout of
+    cmv._paraorthogonal."""
+    B, N = alpha.shape
+    phi = np.zeros((N + 1, B), dtype=complex)
+    star = np.zeros((N + 1, B), dtype=complex)
+    phi[N] = star[0] = 1.0
+    a = np.ascontiguousarray(alpha.T)
+    for n in range(N):
+        z_phi, s = phi[N - n - 1:], star[:n + 2]
+        u, v = a[n].conj() * s, a[n] * z_phi
+        z_phi -= u
+        s -= v
+    return phi
+
+
 class TestSparseCMVDecoder:
     @pytest.mark.parametrize("N", [256, 255, 64, 17, 5, 4, 3, 2])
     def test_cayley_oracle_matches_eigvals(self, N):
@@ -303,14 +330,14 @@ class TestSparseCMVDecoder:
     def test_real_form_is_real(self, N):
         # R = mu e^{-i N theta / 2} P(e^{i theta}) summed in complex from
         # the coefficients is real, and its real part is the R of
-        # _trig_sums, at theta of either sign.  At N >= 255 a random theta
-        # can fall within 1e-3 of one of the zeros, 0.025 apart, where |R|
-        # is near the rounding of its terms; there both are measured
-        # against the row's largest |R|
+        # _trig_sums in either regime, at theta of either sign.  At
+        # N >= 255 a random theta can fall within 1e-3 of one of the zeros,
+        # 0.025 apart, where |R| is near the rounding of its terms; there
+        # both are measured against the row's largest |R|
         alpha = self._block(N, 4, seed=12)
         h = _rng(13).uniform(0.0, np.pi, (4, 16))
         mu = np.sqrt(-alpha[:, -1:])
-        for theta in (h, -h):
+        for theta in [s * x for x in _both_regimes(h, N) for s in (1, -1)]:
             R_real = cmv._trig_sums(*cmv._real_form(alpha), theta)[0]
             powers = np.exp(1j * np.arange(N + 1) * theta[..., None])
             R = (mu * np.exp(-0.5j * N * theta)
@@ -323,13 +350,14 @@ class TestSparseCMVDecoder:
     @pytest.mark.parametrize("N", [256, 24, 17])
     def test_slope_matches_finite_difference(self, N):
         # R', R'' and R''' against a Richardson-extrapolated central
-        # difference of the derivative below, at theta of either sign, with
-        # the step scaled to the frequencies
+        # difference of the derivative below, in either regime of
+        # _trig_sums, at theta of either sign, with the step scaled to the
+        # frequencies
         alpha = self._block(N, 8, seed=5)
         f, A, B = cmv._real_form(alpha)
         h = _rng(6).uniform(0.2, np.pi - 0.2, (8, 16))
         step = 0.02 / N
-        for theta in (h, -h):
+        for theta in [s * x for x in _both_regimes(h, N) for s in (1, -1)]:
             got = cmv._trig_sums(f, A, B, theta)
             central = [(cmv._trig_sums(f, A, B, theta + d)
                         - cmv._trig_sums(f, A, B, theta - d)) / (2.0 * d)
@@ -338,6 +366,54 @@ class TestSparseCMVDecoder:
             for m in (1, 2, 3):
                 scale = np.max(np.abs(got[m]), axis=1, keepdims=True)
                 assert np.max(np.abs(got[m] - want[m - 1]) / scale) < 1e-6
+
+    @pytest.mark.parametrize("N", [256, 255, 17, 3])
+    def test_trig_sum_regimes_agree_with_an_oracle(self, N):
+        # on the same angles the direct sum and Horner's scheme agree with
+        # each other and with sum_f A_f cos(f h) + B_f sin(f h) and its
+        # derivatives summed term by term in float64, each within
+        # 8 (N/2)^m F eps sum_f (|A_f| + |B_f|) for R^(m), F frequencies;
+        # odd N has half-integer f
+        alpha = self._block(N, 3, seed=41)
+        f, A, B = cmv._real_form(alpha)
+        theta = _rng(42).uniform(-np.pi, np.pi, (3, 40))
+        direct = cmv._power_sums(f, A, B, theta)
+        horner = cmv._horner_sums(f, A, B, theta)
+        fh = f * theta[..., None]
+        a, b = A[:, None], B[:, None]
+        even = a * np.cos(fh) + b * np.sin(fh)
+        odd = b * np.cos(fh) - a * np.sin(fh)
+        oracle = [even.sum(-1), (f * odd).sum(-1), -(f ** 2 * even).sum(-1),
+                  -(f ** 3 * odd).sum(-1)]
+        weight = (np.abs(A) + np.abs(B)).sum(axis=1)[:, None]
+        eps = np.finfo(float).eps
+        for m in range(4):
+            bound = 8.0 * (0.5 * N) ** m * f.size * eps * weight
+            for got, want in ((direct, horner), (direct, oracle),
+                              (horner, oracle)):
+                assert np.all(np.abs(got[m] - want[m]) <= bound)
+
+    @pytest.mark.parametrize("N", [256, 255, 17, 4])
+    def test_horner_value_is_horner_for_r_alone(self, N):
+        # the value of the four-accumulator pass has the bits of Horner's
+        # scheme for R alone
+        alpha = self._block(N, 3, seed=43)
+        f, A, B = cmv._real_form(alpha)
+        theta = _rng(44).uniform(-np.pi, np.pi, (3, 40))
+        z, q = np.exp(1j * theta), np.zeros(theta.shape, dtype=complex)
+        for c in (A - 1j * B).T[::-1, :, None]:
+            q = q * z + c
+        R = (q * np.exp(1j * f[0] * theta)).real
+        assert np.array_equal(cmv._horner_sums(f, A, B, theta)[0], R)
+
+    @pytest.mark.parametrize("N", [256, 255, 64, 17, 5, 4])
+    def test_one_buffer_recursion_matches_two(self, N):
+        # Phi*_n = conj(Phi_n reversed) holds bit for bit, since
+        # conj(x y) = conj(x) conj(y) exactly, so carrying Phi_n alone
+        # gives the same P
+        alpha = self._block(N, 5, seed=45)
+        assert np.array_equal(cmv._paraorthogonal(alpha),
+                              _two_buffer_recursion(alpha))
 
     @pytest.mark.parametrize("N", [4, 24, 256])
     def test_conjugate_pairs_never_decode_twice(self, N):
