@@ -304,12 +304,110 @@ class TestSparseCMVDecoder:
         ref = _cayley_angles(_dense_cmv(alpha))
         assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-9
 
+    def test_step_out_of_its_cell_is_not_taken(self):
+        # the draw above, turned so that its zero 4.9e-7 from a grid angle
+        # lies 1e-11 from it: the start of the cell on the other side of
+        # that angle stays at its end, and its exact step, within its
+        # bound, lands on this zero; taken, it would find it twice and miss
+        # one 2.2e-3 away.  Turning alpha_k by e^{-i (k + 1) phi} turns
+        # every eigenangle by phi
+        rng = _rng(31)
+        for _ in range(231):
+            alpha = _verblunsky(256, rng)
+        K = cmv.GRID_PER_ZERO * 256
+        zeros = _cayley_angles(_dense_cmv(alpha))
+        gap = TWO_PI * np.round(zeros * K / TWO_PI) / K - zeros
+        near = gap[np.argmin(np.abs(gap))]
+        phi = near - np.sign(near) * 1e-11
+        alpha = alpha * np.exp(-1j * np.arange(1, 257) * phi)
+        got = cmv._decode(alpha[None])[0]
+        ref = _cayley_angles(_dense_cmv(alpha))
+        assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-9
+
     def test_unconverged_newton_raises(self, monkeypatch):
-        # one exact pass does not end every zero of this sample from its
-        # cubic start, so a decoder held to one pass returns no angles
+        # started at the middle of their cells, the zeros' steps are not
+        # taken, and one pass of _newton does not end them, so a decoder
+        # held to one pass returns no angles
+        start = cmv._start
+
+        def middle(*ends):
+            out = start(*ends)
+            out[3] = 0.5 * (out[0] + out[1])
+            return out
+
+        monkeypatch.setattr(cmv, "_start", middle)
         monkeypatch.setattr(cmv, "_NEWTON_STEPS", 1)
-        with pytest.raises(cmv.DecodeError):
+        with pytest.raises(cmv.DecodeError, match="Newton"):
             sample_cue_eigenangles(256, _rng(0))
+
+    def test_few_zeros_reach_newton(self, monkeypatch):
+        # from the degree-7 Hermite starts one exact value of R ends all
+        # but a few zeros: at most 1% of those of 320 samples at N = 256
+        # reach the fallback
+        sent = []
+        newton = cmv._newton
+        monkeypatch.setattr(cmv, "_newton",
+                            lambda *args: sent.append(args[3].size)
+                            or newton(*args))
+        cmv.sample(256, 320, _rng(51))
+        assert sum(sent) <= 0.01 * 320 * 256
+
+    def test_every_zero_through_newton_matches_dense(self, monkeypatch):
+        # with a bound that takes no step, _newton ends every zero from its
+        # start, and the angles still match the dense oracle
+        sent = []
+        newton = cmv._newton
+        monkeypatch.setattr(cmv, "_step_bound",
+                            lambda N, lo, *rest: np.full(lo.shape, np.inf))
+        monkeypatch.setattr(cmv, "_newton",
+                            lambda *args: sent.append(args[3].size)
+                            or newton(*args))
+        N, seeds = 256, 6
+        for seed in range(seeds):
+            got = sample_cue_eigenangles(N, _rng(seed))
+            ref = _cayley_angles(_dense_cmv(_verblunsky(N, _rng(seed))))
+            assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-9
+        assert sum(sent) == N * seeds
+
+    def test_cell_ends_carry_four_derivatives(self, monkeypatch):
+        # at two grid angles per zero every N = 256 row is cut by _refine;
+        # every cell end, on the grid or cut, carries R + i R' and
+        # R'' + i R''' at its angle, as _trig_sums gives them, within
+        # 1e-9 (N/2)^m sum_f (|A_f| + |B_f|) for R^(m)
+        monkeypatch.setattr(cmv, "GRID_PER_ZERO", 2)
+        alpha = self._block(256, 4, seed=52)
+        f, A, B = cmv._real_form(alpha)
+        lo, hi, P0, P1, Q0, Q1 = cmv._brackets(f, A, B)
+        weight = (np.abs(A) + np.abs(B)).sum(axis=1)[:, None]
+        for x, P, Q in ((lo, P0, Q0), (hi, P1, Q1)):
+            want = cmv._trig_sums(f, A, B, x)
+            for m, v in enumerate((P.real, P.imag, Q.real, Q.imag)):
+                assert np.all(np.abs(v - want[m])
+                              <= 1e-9 * 128.0 ** m * weight)
+
+    def test_ragged_sets_summed_by_their_own_size(self, monkeypatch):
+        # angles over rows of unequal counts take the regime of their own
+        # number, never of the padded count, with the bits of each row's
+        # own sum: 24 angles over 11 rows at N = 256 are summed term by
+        # term, 64 by Horner's scheme
+        alpha = self._block(256, 11, seed=53)
+        f, A, B = cmv._real_form(alpha)
+        horner = []
+        run = cmv._horner_sums
+        monkeypatch.setattr(cmv, "_horner_sums",
+                            lambda *args: horner.append(1) or run(*args))
+        rng = _rng(54)
+        for n, regime in ((24, cmv._power_sums), (64, run)):
+            row = np.sort(rng.integers(0, 11, n))
+            theta = rng.uniform(0.0, TWO_PI, n)
+            counts = np.bincount(row)
+            padded = counts.max() * np.count_nonzero(counts) * f.size
+            assert padded > cmv._TABLE
+            got = cmv._values(f, A, B, row, theta)
+            assert len(horner) == (n * f.size > cmv._TABLE)
+            for r in np.unique(row):
+                alone = regime(f, A[[r]], B[[r]], theta[None, row == r])
+                assert np.array_equal(got[:, row == r], alone[:, 0])
 
     @pytest.mark.parametrize("N", [17, 24])
     def test_coefficients_match_characteristic_polynomial(self, N):
@@ -330,10 +428,9 @@ class TestSparseCMVDecoder:
     def test_real_form_is_real(self, N):
         # R = mu e^{-i N theta / 2} P(e^{i theta}) summed in complex from
         # the coefficients is real, and its real part is the R of
-        # _trig_sums in either regime, at theta of either sign.  At
-        # N >= 255 a random theta can fall within 1e-3 of one of the zeros,
-        # 0.025 apart, where |R| is near the rounding of its terms; there
-        # both are measured against the row's largest |R|
+        # _trig_sums in either regime, at theta of either sign.  A random
+        # theta can fall near a zero of R, where |R| is near the rounding
+        # of its terms, so both are measured against the row's largest |R|
         alpha = self._block(N, 4, seed=12)
         h = _rng(13).uniform(0.0, np.pi, (4, 16))
         mu = np.sqrt(-alpha[:, -1:])
@@ -343,8 +440,7 @@ class TestSparseCMVDecoder:
             R = (mu * np.exp(-0.5j * N * theta)
                  * np.einsum("bjk,kb->bj", powers, cmv._paraorthogonal(alpha)))
             scale = np.max(np.abs(R), axis=1, keepdims=True)
-            assert np.all(np.abs(R.imag)
-                          <= 1e-12 * (np.abs(R) if N < 255 else scale))
+            assert np.all(np.abs(R.imag) <= 1e-12 * scale)
             assert np.max(np.abs(R.real - R_real) / scale) <= 1e-12
 
     @pytest.mark.parametrize("N", [256, 24, 17])
@@ -395,8 +491,8 @@ class TestSparseCMVDecoder:
 
     @pytest.mark.parametrize("N", [256, 255, 17, 4])
     def test_horner_value_is_horner_for_r_alone(self, N):
-        # the value of the four-accumulator pass has the bits of Horner's
-        # scheme for R alone
+        # the value of the four-accumulator pass, and of the pass at
+        # order 0, has the bits of Horner's scheme for R alone
         alpha = self._block(N, 3, seed=43)
         f, A, B = cmv._real_form(alpha)
         theta = _rng(44).uniform(-np.pi, np.pi, (3, 40))
@@ -405,6 +501,7 @@ class TestSparseCMVDecoder:
             q = q * z + c
         R = (q * np.exp(1j * f[0] * theta)).real
         assert np.array_equal(cmv._horner_sums(f, A, B, theta)[0], R)
+        assert np.array_equal(cmv._horner_sums(f, A, B, theta, 0)[0], R)
 
     @pytest.mark.parametrize("N", [256, 255, 64, 17, 5, 4])
     def test_one_buffer_recursion_matches_two(self, N):
