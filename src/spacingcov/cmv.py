@@ -7,18 +7,18 @@ R(theta) = mu e^{-i N theta / 2} P(e^{i theta}) is a real trigonometric sum
 of degree N/2, whose N zeros are the eigenangles.  Two FFTs give R, R',
 R'' and R''' on a grid of GRID_PER_ZERO N angles, whose sign changes
 bracket each zero in its own cell.  Newton steps on the degree-7 Hermite
-interpolant of those values at a cell's ends start its zero about 3e-12
-off at N = 256, so one exact value of R there, summed alone, ends all but
-about one zero in a thousand by one step that a rounding bound accepts;
-a Newton search kept inside the brackets ends the rest.  At N = 256 a
-sample takes about 0.6 ms on one core of a shared 2.1 GHz Xeon: 0.06 ms
-drawing alpha, 0.18 ms in the recursion, 0.15 ms in the FFTs and
-bracketing (and 0.08 ms more on average cutting the cells of the one
+interpolant of those values at a cell's ends, kept in its sign bracket,
+start its zero about 3e-12 off at N = 256, so one exact value of R there,
+summed alone, ends all but about one zero in fifty thousand by one step
+that a rounding bound accepts.  A zero whose step is refused has its cell
+cut and goes round again.  At N = 256 a sample takes about 0.42 ms on one
+core of a shared 2.1 GHz Xeon: 0.03 ms drawing alpha, 0.12 ms in the
+recursion, 0.13 ms in the FFTs and bracketing (with the cuts of the one
 sample in eight whose grid holds two zeros in a cell), 0.04 ms in the
-degree-7 starts, 0.11 ms in the pass of R alone and its step, and 0.04 ms
-in the Newton search.  No eigensolver runs: the module needs no LAPACK
-and no scipy, and the decoder uses no BLAS, so the angles do not depend on
-the BLAS thread count.
+degree-7 starts, 0.06 ms in the pass of R alone and the rest in its step.
+No eigensolver runs: the module needs no LAPACK and no scipy, and the
+decoder uses no BLAS, so the angles do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ _TABLE = 2 ** 12        # complex entries, 64 KB: the largest decode arrays,
                         # raised a two-thread run's peak resident size 0.7 MB.
                         # A block of max(16, _TABLE // N) samples is decoded
                         # together: about _TABLE polynomial coefficients
-_NEWTON_STEPS = 64      # more than the bisections that shrink any grid cell
-                        # below the spacing of floats near 2 pi
 _EPS = np.finfo(float).eps
 
 
@@ -89,159 +87,102 @@ def _real_form(alpha: np.ndarray):
     return k - 0.5 * N, A, B
 
 
-def _trig_sums(f, A, B, theta: np.ndarray, order: int = 3) -> np.ndarray:
-    """R and its first three derivatives, (4, rows of A, n), at the angles
-    theta (rows of A, n): the sum over f of A_f cos(f h) + B_f sin(f h) at
-    h = theta, and its derivatives in h; at order 0, R alone (1, rows, n).
+def _trig_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
+    """R at the angles theta (rows of A, n): the sum over f of
+    A_f cos(f h) + B_f sin(f h) at h = theta.
 
-    R^(m)(h) is the real part of i^m e^{i f_0 h} (f_0 + E)^m q(e^{i h}),
-    where q(z) = sum_j (A_f - i B_f) z^j, f = f_0 + j, and E = z d/dz.  A
-    set with at most _TABLE terms (angles times frequencies), such as the
-    Newton passes and the cuts of ``_refine``, is summed term by term by
-    ``_power_sums``; a larger one, such as the pass of R alone over every
-    zero, by Horner's scheme in ``_horner_sums``, whose steps cost the same
-    for one angle as for a few hundred.  Either way R^(m) carries a
-    rounding error of order (N/2)^m F eps sum_f (|A_f| + |B_f|), F
-    frequencies: against a long-double sum at N = 3 to 256 both stay below
-    0.6 of that.  Both use ufuncs alone, no BLAS, so the sums do not depend
-    on the BLAS thread count.
+    R(h) is the real part of e^{i f_0 h} q(e^{i h}), where
+    q(z) = sum_j (A_f - i B_f) z^j, f = f_0 + j.  A set with at most _TABLE
+    terms (angles times frequencies) is summed term by term by
+    ``_power_sums``; a larger one, such as the pass over every zero, by
+    Horner's scheme in ``_horner_sums``, whose steps cost the same for one
+    angle as for a few hundred.  Either way R carries a rounding error of
+    order F eps sum_f (|A_f| + |B_f|), F frequencies: against a long-double
+    sum at N = 3 to 256 both stay below 0.6 of that.  Both use ufuncs
+    alone, no BLAS, so the sums do not depend on the BLAS thread count.
     """
     if theta.size * f.size <= _TABLE:
-        return _power_sums(f, A, B, theta, order)
-    return _horner_sums(f, A, B, theta, order)
+        return _power_sums(f, A, B, theta)[0]
+    return _horner_sums(f, A, B, theta)
 
 
-def _power_sums(f, A, B, theta: np.ndarray, order: int = 3) -> np.ndarray:
-    """``_trig_sums`` with no loop over f: e^{i f h} as running products of
-    e^{i h} from e^{i f_0 h} (their phase errors grow as f eps, not as the
-    f h eps of exp(i f h)), times A_f - i B_f, contracted with (i f)^m by
-    np.einsum, which calls no BLAS at its default optimize=False."""
+def _power_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
+    """R and its first three derivatives, (4, rows of A, n), at the angles
+    theta (rows of A, n), with no loop over f: e^{i f h} as running
+    products of e^{i h} from e^{i f_0 h} (their phase errors grow as f eps,
+    not as the f h eps of exp(i f h)), times A_f - i B_f, contracted with
+    (i f)^m by np.einsum, which calls no BLAS at its default
+    optimize=False.  R^(m) carries a rounding error of order
+    (N/2)^m F eps sum_f (|A_f| + |B_f|)."""
     e = np.empty((*theta.shape, f.size), dtype=complex)
     e[..., 0] = np.exp(1j * f[0] * theta)
     e[..., 1:] = np.exp(1j * theta)[..., None]
     np.multiply.accumulate(e, axis=-1, out=e)
     e *= (A - 1j * B)[:, None]
-    return np.einsum("rnf,fm->mrn", e,
-                     (1j * f[:, None]) ** np.arange(order + 1)).real
+    return np.einsum("rnf,fm->mrn", e, (1j * f[:, None]) ** np.arange(4)).real
 
 
-def _horner_sums(f, A, B, theta: np.ndarray, order: int = 3) -> np.ndarray:
-    """``_trig_sums`` by Horner's scheme for q and, at order 3, its Taylor
-    coefficients q', q''/2 and q'''/6 at z = e^{i h}, a batch of rows of
-    theta at a time.  Each is summed in its own array of the batch's shape,
-    so every step multiplies by z in the same shape; a batch holds at most
-    _TABLE angles, or one row.  At the end
-        E q = z q',    E^2 q = z q' + z^2 q'',
-        E^3 q = z q' + 3 z^2 q'' + z^3 q''',
-    shifted to (f_0 + E)^m q for odd N.  q's recurrence is the same at
-    either order, so R has the same bits with its derivatives as alone.
-    """
+def _horner_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
+    """``_trig_sums`` by Horner's scheme for q at z = e^{i h}, times
+    e^{i f_0 h} for odd N, a batch of rows of theta at a time: every step
+    multiplies by z in the batch's shape, which holds at most _TABLE
+    angles, or one row."""
     rows, n = theta.shape
     step = max(1, _TABLE // max(n, f.size))
-    out = np.empty((order + 1, rows, n))
+    out = np.empty((rows, n))
     for r in range(0, rows, step):
         h = theta[r:r + step]
-        coef = (A[r:r + step] - 1j * B[r:r + step]).T[::-1, :, None]
         z = np.exp(1j * h)
-        s = [np.zeros(h.shape, dtype=complex) for _ in range(order + 1)]
-        s0 = s[0]
-        for c in coef:                  # highest frequency first
-            for m in range(order, 0, -1):
-                s[m] *= z
-                s[m] += s[m - 1]
-            s0 *= z
-            s0 += c
-        if order:
-            s1, s2, s3 = s[1:]
-            s1 *= z                     # E q
-            s2 *= z
-            s2 *= z                     # z^2 q'' / 2
-            for _ in range(3):
-                s3 *= z                 # z^3 q''' / 6
-            s3 += s2
-            s3 *= 6.0
-            s3 += s1                    # E^3 q
-            s2 *= 2.0
-            s2 += s1                    # E^2 q
-        if f[0]:                        # (f_0 + E)^m q, by the Taylor shift
-            for k in range(1, order + 1):
-                for m in range(order, k - 1, -1):
-                    s[m] += f[0] * s[m - 1]
-            z = np.exp(1j * f[0] * h)
-            for x in s:
-                x *= z
-        out[0, r:r + step] = s0.real
-        if order:
-            np.negative(s1.imag, out=out[1, r:r + step])
-            np.negative(s2.real, out=out[2, r:r + step])
-            out[3, r:r + step] = s3.imag
+        q = np.zeros(h.shape, dtype=complex)
+        for c in (A[r:r + step] - 1j * B[r:r + step]).T[::-1, :, None]:
+            q *= z                      # highest frequency first
+            q += c
+        if f[0]:
+            q *= np.exp(1j * f[0] * h)
+        out[r:r + step] = q.real
     return out
 
 
 class DecodeError(RuntimeError):
-    """A sample's zeros could not all be bracketed in cells wider than the
-    grid floor, or Newton's method did not converge inside a bracket; no
-    angles are returned."""
+    """A cell that must be cut, to bracket a zero or to end one, is
+    narrower than the grid floor, where the rounding of R cannot tell its
+    zeros apart; no angles are returned."""
 
 
 def _values(f, A, B, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``_trig_sums`` (4, n) at the angles theta (n,) of the rows row
-    (ascending) of A and B.  Rows of one count are passed as they are.  Of
-    rows of unequal counts, a set of at most _TABLE terms in all is summed
-    term by term, each angle with its own row's coefficients; a larger one
-    by Horner's scheme in one call over those rows, each padded with its
-    first angle to the longest row's count.  So the regime follows the
-    number of angles, never the padded count."""
-    first = np.flatnonzero(np.diff(row, prepend=-1))
-    counts = np.diff(first, append=row.size)
-    rows = row[first]
-    if np.all(counts == counts[0]):
-        return _trig_sums(f, A[rows], B[rows],
-                          theta.reshape(rows.size, -1)).reshape(4, -1)
-    if row.size * f.size <= _TABLE:
-        return _power_sums(f, A[row], B[row], theta[:, None])[..., 0]
-    group = np.repeat(np.arange(first.size), counts)
-    at = np.arange(row.size) - first[group]
-    padded = np.repeat(theta[first, None], counts.max(), axis=1)
-    padded[group, at] = theta
-    return _horner_sums(f, A[rows], B[rows], padded)[:, group, at]
+    """R, R', R'' and R''' (4, n) at the angles theta (n,) of the rows row
+    of A and B, summed term by term by ``_power_sums``, each angle with its
+    own row's coefficients, at most _TABLE terms a call."""
+    out = np.empty((4, theta.size))
+    step = max(1, _TABLE // f.size)
+    for i in range(0, theta.size, step):
+        j = row[i:i + step]
+        out[:, i:i + step] = _power_sums(f, A[j], B[j],
+                                         theta[i:i + step, None])[..., 0]
+    return out
 
 
-def _cubic(r0, r1, m0, m1):
-    """(a2, a3): H(s) = r0 + m0 s + a2 s^2 + a3 s^3 is the cubic with values
-    r0, r1 and slopes m0, m1 at s = 0 and 1."""
-    return 3.0 * (r1 - r0) - 2.0 * m0 - m1, 2.0 * (r0 - r1) + m0 + m1
-
-
-def _cubic_zero(c0, c1, c2, c3, s, clip=False):
-    """(s, last): three Newton steps on the cubic c0 + c1 s + c2 s^2 +
-    c3 s^3 from s, each kept in [0, 1] if clip, and the last step.  From
-    the starts used here, that solves the cubic far below its distance
-    from R.  Call it under np.errstate: a zero slope gives inf or nan,
-    which the callers catch."""
-    for _ in range(3):
-        last = (c0 + s * (c1 + s * (c2 + s * c3))) / (
-            c1 + s * (2.0 * c2 + 3.0 * s * c3))
-        s = s - last
-        if clip:
-            s = np.clip(s, 0.0, 1.0)
-    return s, last
-
-
-def _hermite_zero(r0, r1, m0, m1) -> np.ndarray:
-    """A zero s in [0, 1] of that cubic, r0 and r1 of opposite signs, from
-    the secant zero."""
-    a2, a3 = _cubic(r0, r1, m0, m1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = _cubic_zero(r0, m0, a2, a3, r0 / (r0 - r1), clip=True)[0]
-    return np.where(np.isnan(s), 0.5, s)
+def _cut(f, A, B, row, lo, hi, s) -> list:
+    """[at, P, Q]: the points at = lo + s w of the cells [lo, hi] of the
+    rows row, w = hi - lo, with s kept in the middle three quarters, so
+    that each cut leaves at most 7/8 of its cell, and P = R + i R',
+    Q = R'' + i R''' there, exact.  Cells narrower than the grid floor
+    sqrt(eps) 2 pi / N are not cut: there two zeros move R by less than its
+    rounding, and DecodeError is raised."""
+    w = hi - lo
+    if not np.all(w >= np.sqrt(_EPS) * TWO_PI / (2.0 * f[-1])):
+        raise DecodeError("a cell to cut is narrower than the grid floor")
+    at = lo + np.clip(s, 0.125, 0.875) * w
+    R, D1, D2, D3 = _values(f, A, B, row, at)
+    return [at, R + 1j * D1, D2 + 1j * D3]
 
 
 def _cubic_min(r0, r1, m0, m1):
-    """(low, s): the least value low of sign(r0) H over [0, 1], H that
-    cubic, which it takes at an end or at a zero s of H' inside; s = 1/2
-    where it takes it at an end."""
-    a2, a3 = _cubic(r0, r1, m0, m1)
+    """(low, s): the least value low of sign(r0) H over [0, 1], H the cubic
+    with values r0, r1 and slopes m0, m1 at s = 0 and 1, which it takes at
+    an end or at a zero s of H' inside; s = 1/2 where it takes it at an
+    end."""
+    a2, a3 = 3.0 * (r1 - r0) - 2.0 * m0 - m1, 2.0 * (r0 - r1) + m0 + m1
     sign = np.where(np.signbit(r0), -1.0, 1.0)
     low, at = np.minimum(sign * r0, sign * r1), np.full(r0.shape, 0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -269,20 +210,15 @@ def _refine(f, A, B, t, V) -> list:
     H of its end values and slopes, and |R''''| <= sum_f f^4 (|A_f| + |B_f|).
     So a cell without a sign change can hide zeros only if sign(R) H comes
     within E of 0, plus 2 K eps sum_f (1 + f) (|A_f| + |B_f|) for the
-    rounding of the grid.  Those cells are cut, at exact values of R and
-    its derivatives where H comes nearest 0 (kept in the middle three
-    quarters of the cell, so that cells shrink), until N sign changes
-    bracket the N zeros.  If no such cell is left, a cell with a sign
-    change holds three zeros, and the cells with a sign change are cut in
-    half.  Cells narrower than the grid floor sqrt(eps) 2 pi / N are not
-    cut: there two zeros move R by less than its rounding, and DecodeError
-    is raised.
+    rounding of the grid.  Those cells are ``_cut`` where H comes nearest
+    0, until N sign changes bracket the N zeros.  If no such cell is left,
+    a cell with a sign change holds three zeros, and the cells with a sign
+    change are cut in half.
     """
     N = int(2 * f[-1])
     weight = np.abs(A[0]) + np.abs(B[0])
     quartic = np.sum(f ** 4 * weight) / 384.0
     rounding = 2.0 * GRID_PER_ZERO * N * _EPS * np.sum((1.0 + f) * weight)
-    floor = np.sqrt(_EPS) * TWO_PI / N
     while True:
         R, D = V[0].real, V[0].imag
         change = np.signbit(R[1:]) != np.signbit(R[:-1])
@@ -295,34 +231,35 @@ def _refine(f, A, B, t, V) -> list:
         cut = ~change & (low <= quartic * w ** 4 + rounding)
         if not cut.any():
             cut, s = change, np.full(w.shape, 0.5)
-        if found > N or not cut.any() or w[cut].min() < floor:
+        if found > N or not cut.any():
             raise DecodeError(f"the grid brackets {found} of the {N} zeros "
-                              "of R in cells wider than its floor")
-        new = t[:-1][cut] + np.clip(s[cut], 0.125, 0.875) * w[cut]
+                              "of R")
+        new, *exact = _cut(f, A, B, np.zeros(np.count_nonzero(cut), int),
+                           t[:-1][cut], t[1:][cut], s[cut])
         at = np.flatnonzero(cut) + 1
-        exact = _values(f, A, B, np.zeros(new.size, int), new)
         t = np.insert(t, at, new)
-        V = [np.insert(X, at, exact[m] + 1j * exact[m + 1])
-             for X, m in zip(V, (0, 2))]
+        V = [np.insert(X, at, x) for X, x in zip(V, exact)]
 
 
-def _start(lo, hi, P0, P1, Q0, Q1) -> list:
-    """[lo, hi, R(lo), theta, slope] of the cells [lo, hi] with the
-    ``_cell_ends`` values P = R + i R' and Q = R'' + i R''' (0 at lo, 1 at
-    hi): theta, kept in its cell, is a zero of the degree-7 Hermite
-    interpolant H of R, R', R'' and R''' at the cell's ends, and
-    slope = H'(theta).
+def _start(lo, hi, P0, P1, Q0, Q1):
+    """(theta, slope) of the cells [lo, hi] with the ``_cell_ends`` values
+    P = R + i R' and Q = R'' + i R''' (0 at lo, 1 at hi): theta is a zero
+    of the degree-7 Hermite interpolant H of R, R', R'' and R''' at the
+    cell's ends, and slope = H'(theta).
 
     In s = (theta - lo) / w, w = hi - lo, H = T + s^4 g, T the Taylor cubic
     of R at lo.  s^4 g takes the remainders of T at s = 1; in powers of
     t = s - 1 they are divided by s^4 = (1 + t)^4 and shifted back to
-    powers of s.  Newton's method on H starts at the zero of the cubic of
-    R and R' at the cell's ends (``_hermite_zero``, about 1e-7 off at
-    N = 256) and takes two steps, each clipped to the cell; its next step
-    is ``_decode``'s, with R exact.
+    powers of s.  Newton's method on H starts at the secant zero
+    R(lo) / (R(lo) - R(hi)) and takes six steps, each kept in the bracket
+    [a, b] where H changes sign: s becomes the bracket's end on its side of
+    the zero, and a step that leaves the closed bracket is replaced by the
+    bracket's midpoint.  So no start sticks at a cell end where H's slope
+    points out of the cell, and a converged step, which may not move s at
+    all, stays in the closed bracket.  Its next step is ``_decode``'s, with
+    R exact.
     """
     w = hi - lo
-    start = _hermite_zero(P0.real, P1.real, w * P0.imag, w * P1.imag)
     w2, w3 = 0.5 * w * w, w ** 3 / 6.0  # R^(m) w^m / m! in powers of s:
     c = [P0.real, w * P0.imag, w2 * Q0.real, w3 * Q0.imag]      # at lo,
     u = [P1.real.copy(), w * P1.imag, w2 * Q1.real, w3 * Q1.imag]  # at hi
@@ -336,13 +273,17 @@ def _start(lo, hi, P0, P1, Q0, Q1) -> list:
         for j in range(2, k - 1, -1):
             u[j] -= u[j + 1]
     c += u
-    s = start
+    falls = np.signbit(P0.real)
+    a, b = np.zeros(w.shape), np.ones(w.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):
+        s = P0.real / (P0.real - P1.real)
+        for _ in range(6):
             H, slope = _septic(c, s)
-            s = np.clip(s - H / slope, 0.0, 1.0)
-    s = np.where(np.isnan(s), start, s)
-    return [lo, hi, c[0], lo + w * s, _septic(c, s)[1] / w]
+            above = np.signbit(H) == falls      # the zero is above s
+            a, b = np.where(above, s, a), np.where(above, b, s)
+            s = s - H / slope
+            s = np.where((a <= s) & (s <= b), s, 0.5 * (a + b))
+    return lo + w * s, _septic(c, s)[1] / w
 
 
 def _septic(c, s):
@@ -408,48 +349,6 @@ def _brackets(f, A, B) -> list:
     return ends
 
 
-def _newton(f, A, B, row, lo, hi, R_lo, theta) -> np.ndarray:
-    """The zeros of R in the brackets [lo, hi] of the rows row (ascending)
-    of A and B, where R is R_lo at lo, searched from theta: the zeros whose
-    step in ``_decode`` is not taken.
-
-    Each pass takes R and R', R'', R''' at theta exactly and steps to the
-    zero d of their Taylor cubic T, by ``_cubic_zero`` from -R / R'.
-    |R''''| <= (N/2)^4 S, S = sum_f (|A_f| + |B_f|), so R(theta + d) is
-    within (N/2)^4 S d^4 / 24 of T(d) = 0.  Once (|d| N/2)^4 <= 24 eps,
-    that is below the rounding of R (about eps S), so theta + d is as near
-    the zero as R's rounding lets an angle be; an angle also stops only when
-    the last step on T is below the spacing of floats near 2 pi.  So each
-    angle stops by rounding, not at a tuned tolerance.  Where the step
-    would leave the bracket, which each pass shrinks to the side where R
-    keeps its sign, the bracket is bisected instead.
-    """
-    limit = (24.0 * _EPS) ** 0.25 / f[-1]
-    falls = np.signbit(R_lo)
-    out = np.empty_like(theta)
-    todo = np.arange(theta.size)
-    for _ in range(_NEWTON_STEPS):
-        R, D1, D2, D3 = _values(f, A, B, row[todo], theta[todo])
-        D2, D3 = 0.5 * D2, D3 / 6.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d, last = _cubic_zero(R, D1, D2, D3, -R / D1)
-        at = theta[todo] + d
-        done = ((np.abs(d) <= limit) & (np.abs(last) <= _EPS * TWO_PI)
-                & (lo[todo] <= at) & (at <= hi[todo]))
-        out[todo[done]] = at[done]
-        todo, R, d = todo[~done], R[~done], d[~done]
-        if not todo.size:
-            return out
-        at = theta[todo]
-        left = np.signbit(R) == falls[todo]
-        lo[todo] = np.where(left, at, lo[todo])
-        hi[todo] = np.where(left, hi[todo], at)
-        at = at + d
-        theta[todo] = np.where((lo[todo] < at) & (at < hi[todo]), at,
-                               0.5 * (lo[todo] + hi[todo]))
-    raise DecodeError("Newton's method did not converge inside a bracket")
-
-
 def _step_bound(N, lo, hi, theta, d):
     """A bound on |R(theta + d)| / S, S = sum_f (|A_f| + |B_f|), for the
     step d = -R(theta) / H'(theta) from theta in the cell [lo, hi] of the
@@ -463,7 +362,8 @@ def _step_bound(N, lo, hi, theta, d):
     cell's width, with |R^(8)| <= (N/2)^8 S.  The rounding of H', of
     order K eps (N/2) S on the grid of K angles, adds at most
     K sqrt(2 eps) eps S, far below eps S, wherever the d^2 term is below
-    eps S.
+    eps S.  A step whose bound exceeds eps is not taken: ``_decode`` cuts
+    its cell and starts the zero again.
     """
     n, d = 0.5 * N, np.abs(d)
     wedge = (theta - lo) * (hi - theta)
@@ -476,30 +376,54 @@ def _decode(alpha: np.ndarray) -> np.ndarray:
 
     The eigenvalues are the zeros of P on |z| = 1, the N zeros of the real
     R of ``_real_form``.  ``_brackets`` puts each in its own cell of
-    [0, 2 pi] and starts its search at a zero of the degree-7 Hermite
-    interpolant H of R, R', R'' and R''' at the cell's ends, about 3e-12
-    off at N = 256.  One exact pass of R alone at every start then steps
-    to theta - R / H'.  That angle is taken if it stays in its cell and
-    ``_step_bound`` puts |R| there below the rounding of R, eps S; so it
-    is as near the zero as ``_newton`` would end, and it ends all but
-    about one zero in a thousand.  ``_newton`` ends the rest.  The cells
-    are in order, so the angles are; a zero at 1 found at 2 pi is moved
-    to 0.  Rows are independent: a block decodes to the same angles as its
+    [0, 2 pi], and one loop ends them.  Each open zero starts at the zero
+    theta of the degree-7 Hermite interpolant H of its cell (``_start``),
+    takes one exact value of R there, by Horner's scheme over every zero at
+    once in the first round, and steps to theta - R / H'.  That angle is
+    taken if it stays in its cell and ``_step_bound`` puts |R| there below
+    the rounding of R, eps S; so it is as near the zero as R's rounding
+    lets an angle be.  Otherwise the cell is ``_cut`` at theta, the cut
+    point becomes its end on the side where R keeps its sign, and the zero
+    goes round again.  Each cut leaves at most 7/8 of a cell, so the loop
+    ends, at the latest with DecodeError at the grid floor.  At N = 256
+    about one zero in fifty thousand needs a second round.  The cells
+    are in order, so the angles are; a zero at 1 found at 2 pi is moved to
+    0.  Rows are independent: a block decodes to the same angles as its
     rows one at a time.
     """
     f, A, B = _real_form(alpha)
-    lo, hi, R_lo, theta, slope = _start(*_brackets(f, A, B))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = -_trig_sums(f, A, B, theta, order=0)[0] / slope
-        at = theta + d
-        miss = ~((lo <= at) & (at <= hi)
-                 & (_step_bound(alpha.shape[1], lo, hi, theta, d) <= _EPS))
-    if miss.any():
-        at[miss] = _newton(f, A, B, np.nonzero(miss)[0], lo[miss], hi[miss],
-                           R_lo[miss], theta[miss])
-    wrap = at[:, -1] == TWO_PI
-    at[wrap] = np.roll(np.where(at[wrap] == TWO_PI, 0.0, at[wrap]), 1, axis=1)
-    return at
+    rows, N = alpha.shape
+    ends = [x.ravel() for x in _brackets(f, A, B)]
+    theta, slope = _start(*ends)
+    R = _trig_sums(f, A, B, theta.reshape(rows, N)).ravel()
+    zero = np.arange(rows * N)
+    out = np.empty(rows * N)
+    while True:
+        lo, hi = ends[:2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = -R / slope
+            at = theta + d
+            done = ((lo <= at) & (at <= hi)
+                    & (_step_bound(N, lo, hi, theta, d) <= _EPS))
+        out[zero[done]] = at[done]
+        if done.all():
+            break
+        keep = ~done
+        zero, theta = zero[keep], theta[keep]
+        ends = [x[keep] for x in ends]
+        lo, hi, row = *ends[:2], zero // N
+        cut = _cut(f, A, B, row, lo, hi, (theta - lo) / (hi - lo))
+        above = np.signbit(cut[1].real) == np.signbit(ends[2].real)
+        for k, x in enumerate(cut):     # the zero lies above the cut point
+            ends[2 * k] = np.where(above, x, ends[2 * k])
+            ends[2 * k + 1] = np.where(above, ends[2 * k + 1], x)
+        theta, slope = _start(*ends)
+        R = _values(f, A, B, row, theta)[0]
+    out = out.reshape(rows, N)
+    wrap = out[:, -1] == TWO_PI
+    out[wrap] = np.roll(np.where(out[wrap] == TWO_PI, 0.0, out[wrap]), 1,
+                        axis=1)
+    return out
 
 
 def _verblunsky(N: int, rng) -> np.ndarray:

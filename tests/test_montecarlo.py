@@ -267,13 +267,12 @@ class TestSparseCMVDecoder:
 
     @pytest.mark.parametrize("N", [256, 255, 24, 3])
     def test_angles_are_zeros_to_rounding(self, N):
-        # each angle stops where the Taylor cubic of R has its zero and
-        # differs from R by less than the rounding of R, so R at the angles
-        # is at most N eps sum_f (|A_f| + |B_f|)
+        # each angle is taken only where _step_bound puts R below its
+        # rounding, so R at the angles is at most N eps sum_f (|A_f| + |B_f|)
         alpha = self._block(N, 8, seed=21)
         theta = cmv._decode(alpha)
         f, A, B = cmv._real_form(alpha)
-        R = cmv._trig_sums(f, A, B, theta)[0]
+        R = cmv._trig_sums(f, A, B, theta)
         scale = N * np.finfo(float).eps * (np.abs(A) + np.abs(B)).sum(axis=1)
         assert np.all(np.abs(R) <= scale[:, None])
 
@@ -324,55 +323,83 @@ class TestSparseCMVDecoder:
         ref = _cayley_angles(_dense_cmv(alpha))
         assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-9
 
+    @staticmethod
+    def _rounds(monkeypatch):
+        """A list that gets, for each _decode call, the list of the numbers
+        of zeros that its rounds start: one _brackets call, then one
+        _start call a round."""
+        rounds = []
+        brackets, start = cmv._brackets, cmv._start
+        monkeypatch.setattr(cmv, "_brackets",
+                            lambda *args: rounds.append([]) or brackets(*args))
+        monkeypatch.setattr(cmv, "_start",
+                            lambda *ends: rounds[-1].append(ends[0].size)
+                            or start(*ends))
+        return rounds
+
     def test_unconverged_newton_raises(self, monkeypatch):
-        # started at the middle of their cells, the zeros' steps are not
-        # taken, and one pass of _newton does not end them, so a decoder
-        # held to one pass returns no angles
+        # started at the low ends of their cells, under a bound that
+        # accepts no step, the zeros have their cells cut round after
+        # round, each cut leaving at most 7/8 of a cell, until one is
+        # narrower than the grid floor sqrt(eps) 2 pi / N: DecodeError,
+        # after at most log(8 sqrt(eps)) / log(7/8) cuts of a grid cell,
+        # not a loop
+        calls = []
+        most = 1 + np.log(8.0 * np.sqrt(np.finfo(float).eps)) / np.log(0.875)
         start = cmv._start
 
-        def middle(*ends):
-            out = start(*ends)
-            out[3] = 0.5 * (out[0] + out[1])
-            return out
+        def never(N, lo, *rest):
+            calls.append(1)
+            assert len(calls) <= most + 1
+            return np.full(lo.shape, np.inf)
 
-        monkeypatch.setattr(cmv, "_start", middle)
-        monkeypatch.setattr(cmv, "_NEWTON_STEPS", 1)
-        with pytest.raises(cmv.DecodeError, match="Newton"):
+        monkeypatch.setattr(cmv, "_start",
+                            lambda *ends: (ends[0], start(*ends)[1]))
+        monkeypatch.setattr(cmv, "_step_bound", never)
+        with pytest.raises(cmv.DecodeError, match="floor"):
             sample_cue_eigenangles(256, _rng(0))
 
     def test_few_zeros_reach_newton(self, monkeypatch):
         # from the degree-7 Hermite starts one exact value of R ends all
         # but a few zeros: at most 1% of those of 320 samples at N = 256
-        # reach the fallback
-        sent = []
-        newton = cmv._newton
-        monkeypatch.setattr(cmv, "_newton",
-                            lambda *args: sent.append(args[3].size)
-                            or newton(*args))
+        # have their cell cut and go round again
+        rounds = self._rounds(monkeypatch)
         cmv.sample(256, 320, _rng(51))
-        assert sum(sent) <= 0.01 * 320 * 256
+        assert len(rounds) == 20 and all(r[0] == 16 * 256 for r in rounds)
+        assert sum(sum(r[1:]) for r in rounds) <= 0.01 * 320 * 256
 
     def test_every_zero_through_newton_matches_dense(self, monkeypatch):
-        # with a bound that takes no step, _newton ends every zero from its
-        # start, and the angles still match the dense oracle
-        sent = []
-        newton = cmv._newton
+        # with a bound that takes no step in the first round, every zero
+        # has its cell cut once and starts again, and the angles still
+        # match the dense oracle
+        rounds = self._rounds(monkeypatch)
+        bound = cmv._step_bound
         monkeypatch.setattr(cmv, "_step_bound",
-                            lambda N, lo, *rest: np.full(lo.shape, np.inf))
-        monkeypatch.setattr(cmv, "_newton",
-                            lambda *args: sent.append(args[3].size)
-                            or newton(*args))
+                            lambda N, lo, *rest: np.full(lo.shape, np.inf)
+                            if len(rounds[-1]) == 1 else bound(N, lo, *rest))
         N, seeds = 256, 6
         for seed in range(seeds):
             got = sample_cue_eigenangles(N, _rng(seed))
             ref = _cayley_angles(_dense_cmv(_verblunsky(N, _rng(seed))))
             assert np.max(np.abs(np.angle(np.exp(1j * (got - ref))))) < 1e-9
-        assert sum(sent) == N * seeds
+        assert len(rounds) == seeds and all(r[:2] == [N, N] for r in rounds)
+
+    def test_starts_kept_in_their_sign_bracket(self, monkeypatch):
+        # in the 231st draw of this stream two zeros' Newton steps on H,
+        # were they only clipped to the cell, would stick at its end, and
+        # their exact steps would be refused; kept in the sign bracket of
+        # H, every zero ends in the first round
+        rounds = self._rounds(monkeypatch)
+        rng = _rng(31)
+        for _ in range(231):
+            alpha = _verblunsky(256, rng)
+        cmv._decode(alpha[None])
+        assert rounds == [[256]]
 
     def test_cell_ends_carry_four_derivatives(self, monkeypatch):
         # at two grid angles per zero every N = 256 row is cut by _refine;
         # every cell end, on the grid or cut, carries R + i R' and
-        # R'' + i R''' at its angle, as _trig_sums gives them, within
+        # R'' + i R''' at its angle, as _power_sums gives them, within
         # 1e-9 (N/2)^m sum_f (|A_f| + |B_f|) for R^(m)
         monkeypatch.setattr(cmv, "GRID_PER_ZERO", 2)
         alpha = self._block(256, 4, seed=52)
@@ -380,34 +407,25 @@ class TestSparseCMVDecoder:
         lo, hi, P0, P1, Q0, Q1 = cmv._brackets(f, A, B)
         weight = (np.abs(A) + np.abs(B)).sum(axis=1)[:, None]
         for x, P, Q in ((lo, P0, Q0), (hi, P1, Q1)):
-            want = cmv._trig_sums(f, A, B, x)
+            want = cmv._power_sums(f, A, B, x)
             for m, v in enumerate((P.real, P.imag, Q.real, Q.imag)):
                 assert np.all(np.abs(v - want[m])
                               <= 1e-9 * 128.0 ** m * weight)
 
-    def test_ragged_sets_summed_by_their_own_size(self, monkeypatch):
-        # angles over rows of unequal counts take the regime of their own
-        # number, never of the padded count, with the bits of each row's
-        # own sum: 24 angles over 11 rows at N = 256 are summed term by
-        # term, 64 by Horner's scheme
+    def test_ragged_sets_summed_by_their_own_size(self):
+        # 64 angles over 11 rows of unequal counts at N = 256 are more terms
+        # than one _TABLE call: across the calls' boundaries each angle has
+        # the bits of its own row's term-by-term sum at that angle alone
         alpha = self._block(256, 11, seed=53)
         f, A, B = cmv._real_form(alpha)
-        horner = []
-        run = cmv._horner_sums
-        monkeypatch.setattr(cmv, "_horner_sums",
-                            lambda *args: horner.append(1) or run(*args))
         rng = _rng(54)
-        for n, regime in ((24, cmv._power_sums), (64, run)):
-            row = np.sort(rng.integers(0, 11, n))
-            theta = rng.uniform(0.0, TWO_PI, n)
-            counts = np.bincount(row)
-            padded = counts.max() * np.count_nonzero(counts) * f.size
-            assert padded > cmv._TABLE
-            got = cmv._values(f, A, B, row, theta)
-            assert len(horner) == (n * f.size > cmv._TABLE)
-            for r in np.unique(row):
-                alone = regime(f, A[[r]], B[[r]], theta[None, row == r])
-                assert np.array_equal(got[:, row == r], alone[:, 0])
+        row = rng.integers(0, 11, 64)
+        theta = rng.uniform(0.0, TWO_PI, 64)
+        assert theta.size * f.size > 2 * cmv._TABLE
+        got = cmv._values(f, A, B, row, theta)
+        for i, r in enumerate(row):
+            alone = cmv._power_sums(f, A[[r]], B[[r]], theta[None, [i]])
+            assert np.array_equal(got[:, i], alone[:, 0, 0])
 
     @pytest.mark.parametrize("N", [17, 24])
     def test_coefficients_match_characteristic_polynomial(self, N):
@@ -435,7 +453,7 @@ class TestSparseCMVDecoder:
         h = _rng(13).uniform(0.0, np.pi, (4, 16))
         mu = np.sqrt(-alpha[:, -1:])
         for theta in [s * x for x in _both_regimes(h, N) for s in (1, -1)]:
-            R_real = cmv._trig_sums(*cmv._real_form(alpha), theta)[0]
+            R_real = cmv._trig_sums(*cmv._real_form(alpha), theta)
             powers = np.exp(1j * np.arange(N + 1) * theta[..., None])
             R = (mu * np.exp(-0.5j * N * theta)
                  * np.einsum("bjk,kb->bj", powers, cmv._paraorthogonal(alpha)))
@@ -445,18 +463,17 @@ class TestSparseCMVDecoder:
 
     @pytest.mark.parametrize("N", [256, 24, 17])
     def test_slope_matches_finite_difference(self, N):
-        # R', R'' and R''' against a Richardson-extrapolated central
-        # difference of the derivative below, in either regime of
-        # _trig_sums, at theta of either sign, with the step scaled to the
-        # frequencies
+        # R', R'' and R''' of _power_sums against a Richardson-extrapolated
+        # central difference of the derivative below, at theta of either
+        # sign, with the step scaled to the frequencies
         alpha = self._block(N, 8, seed=5)
         f, A, B = cmv._real_form(alpha)
         h = _rng(6).uniform(0.2, np.pi - 0.2, (8, 16))
         step = 0.02 / N
-        for theta in [s * x for x in _both_regimes(h, N) for s in (1, -1)]:
-            got = cmv._trig_sums(f, A, B, theta)
-            central = [(cmv._trig_sums(f, A, B, theta + d)
-                        - cmv._trig_sums(f, A, B, theta - d)) / (2.0 * d)
+        for theta in (h, -h):
+            got = cmv._power_sums(f, A, B, theta)
+            central = [(cmv._power_sums(f, A, B, theta + d)
+                        - cmv._power_sums(f, A, B, theta - d)) / (2.0 * d)
                        for d in (0.5 * step, step)]
             want = (4.0 * central[0] - central[1]) / 3.0
             for m in (1, 2, 3):
@@ -465,11 +482,11 @@ class TestSparseCMVDecoder:
 
     @pytest.mark.parametrize("N", [256, 255, 17, 3])
     def test_trig_sum_regimes_agree_with_an_oracle(self, N):
-        # on the same angles the direct sum and Horner's scheme agree with
-        # each other and with sum_f A_f cos(f h) + B_f sin(f h) and its
-        # derivatives summed term by term in float64, each within
-        # 8 (N/2)^m F eps sum_f (|A_f| + |B_f|) for R^(m), F frequencies;
-        # odd N has half-integer f
+        # on the same angles R of the direct sum and of Horner's scheme
+        # agree with each other and with sum_f A_f cos(f h) + B_f sin(f h)
+        # summed term by term in float64, and the direct sum's derivatives
+        # with that sum's, each within 8 (N/2)^m F eps sum_f (|A_f| + |B_f|)
+        # for R^(m), F frequencies; odd N has half-integer f
         alpha = self._block(N, 3, seed=41)
         f, A, B = cmv._real_form(alpha)
         theta = _rng(42).uniform(-np.pi, np.pi, (3, 40))
@@ -485,14 +502,16 @@ class TestSparseCMVDecoder:
         eps = np.finfo(float).eps
         for m in range(4):
             bound = 8.0 * (0.5 * N) ** m * f.size * eps * weight
-            for got, want in ((direct, horner), (direct, oracle),
-                              (horner, oracle)):
-                assert np.all(np.abs(got[m] - want[m]) <= bound)
+            pairs = [(direct[m], oracle[m])]
+            if m == 0:
+                pairs += [(direct[0], horner), (horner, oracle[0])]
+            for got, want in pairs:
+                assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("N", [256, 255, 17, 4])
     def test_horner_value_is_horner_for_r_alone(self, N):
-        # the value of the four-accumulator pass, and of the pass at
-        # order 0, has the bits of Horner's scheme for R alone
+        # _horner_sums has the bits of Horner's scheme for q, times
+        # e^{i f_0 h}
         alpha = self._block(N, 3, seed=43)
         f, A, B = cmv._real_form(alpha)
         theta = _rng(44).uniform(-np.pi, np.pi, (3, 40))
@@ -500,8 +519,7 @@ class TestSparseCMVDecoder:
         for c in (A - 1j * B).T[::-1, :, None]:
             q = q * z + c
         R = (q * np.exp(1j * f[0] * theta)).real
-        assert np.array_equal(cmv._horner_sums(f, A, B, theta)[0], R)
-        assert np.array_equal(cmv._horner_sums(f, A, B, theta, 0)[0], R)
+        assert np.array_equal(cmv._horner_sums(f, A, B, theta), R)
 
     @pytest.mark.parametrize("N", [256, 255, 64, 17, 5, 4])
     def test_one_buffer_recursion_matches_two(self, N):
