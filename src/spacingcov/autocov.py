@@ -62,6 +62,8 @@ class AutocovSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.k_max < 0:
+            raise ValueError("k_max must be >= 0")
         if self.values.shape != (self.k_max + 1,):
             raise ValueError("values must have length k_max + 1")
         if not np.all(np.isfinite(self.values)):
@@ -169,6 +171,8 @@ def sum_rule_residual(k_max: int, series: AutocovSeries) -> float:
 
     The omitted tail is about -1/(pi^2 k_max) by the leading-decay form.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     if k_max > series.k_max:
         raise ValueError("k_max exceeds series length")
     return float(series.values[0] + 2.0 * np.sum(series.values[1:k_max + 1]))

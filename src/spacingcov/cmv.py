@@ -3,15 +3,19 @@
 ``sample`` draws and decodes a block of samples at a time (see
 ``_decode``).  The Szego recursion in coefficient space gives the
 characteristic polynomial P of each sample.  P is self-inversive, so
-R(theta) = mu e^{-i N theta / 2} P(e^{i theta}) is a real trigonometric sum
-of degree N/2, whose N zeros are the eigenangles.  Two FFTs give R, R',
-R'' and R''' on a grid of GRID_PER_ZERO N angles, whose sign changes
-bracket each zero in its own cell.  Newton steps on the degree-7 Hermite
+R(theta) = mu e^{-i N theta / 2} P(e^{i theta}) = Re sum_f C_f e^{i f theta}
+is a real trigonometric sum of degree N/2, one complex coefficient C_f per
+frequency f, and its N zeros are the eigenangles; its sums are rounded on
+the scale S = sum_f (|Re C_f| + |Im C_f|).  Two FFTs of C give R, R', R''
+and R''' on a grid of GRID_PER_ZERO N angles, whose sign changes bracket
+each zero in its own cell.  Newton steps on the degree-7 Hermite
 interpolant of those values at a cell's ends, kept in its sign bracket,
 start its zero about 3e-12 off at N = 256, so one exact value of R there,
-summed alone, ends all but about one zero in fifty thousand by one step
-that a rounding bound accepts.  A zero whose step is refused has its cell
-cut and goes round again.  At N = 256 a sample takes about 0.42 ms on one
+by Horner's scheme, ends all but about one zero in fifty thousand by one
+step that a rounding bound accepts.  A zero whose step is refused has its
+cell cut, with R to R''' summed at the cut, and goes round again.  Each
+angle's sums do not depend on what is decoded with it, so a block decodes
+to its rows' exact bits.  At N = 256 a sample takes about 0.42 ms on one
 core of a shared 2.1 GHz Xeon: 0.03 ms drawing alpha, 0.12 ms in the
 recursion, 0.13 ms in the FFTs and bracketing (with the cuts of the one
 sample in eight whose grid holds two zeros in a cell), 0.04 ms in the
@@ -67,66 +71,34 @@ def _paraorthogonal(alpha: np.ndarray) -> np.ndarray:
 
 
 def _real_form(alpha: np.ndarray):
-    """(f, A, B): frequencies f (F,) and coefficients A, B (rows of alpha, F)
-    of the real function
+    """(f, C): frequencies f (F,) and coefficients C (rows of alpha, F) of
+    the real function
         R(theta) = mu e^{-i N theta / 2} P(e^{i theta})
-                 = sum_f A_f cos(f theta) + B_f sin(f theta),
+                 = Re sum_f C_f e^{i f theta},
     mu^2 = -alpha_{N-1}, f = k - N/2 >= 0 (half-integers for odd N).
 
     P is self-inversive, P* = -alpha_{N-1} P, so the coefficient c_k = mu p_k
-    of e^{i f theta} is the conjugate of that of e^{-i f theta}.  Each pair is
-    summed as computed, so R is the real part of the rounded sum.
+    of e^{i f theta} is the conjugate of that of e^{-i f theta}, and
+    C_f = c_k + conj(c_{N-k}).  Each pair is summed as computed, so R is
+    the real part of the rounded sum.
     """
     N = alpha.shape[1]
     c = _paraorthogonal(alpha) * np.sqrt(-alpha[:, -1])
     k = np.arange((N + 1) // 2, N + 1)
-    A = (c[k].real + c[N - k].real).T
-    B = (c[N - k].imag - c[k].imag).T
+    C = (c[k] + c[N - k].conj()).T
     if N % 2 == 0:
-        A[:, 0] *= 0.5                  # f = 0 is its own pair
-    return k - 0.5 * N, A, B
+        C[:, 0] *= 0.5                  # f = 0 is its own pair
+    return k - 0.5 * N, C
 
 
-def _trig_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
-    """R at the angles theta (rows of A, n): the sum over f of
-    A_f cos(f h) + B_f sin(f h) at h = theta.
-
-    R(h) is the real part of e^{i f_0 h} q(e^{i h}), where
-    q(z) = sum_j (A_f - i B_f) z^j, f = f_0 + j.  A set with at most _TABLE
-    terms (angles times frequencies) is summed term by term by
-    ``_power_sums``; a larger one, such as the pass over every zero, by
-    Horner's scheme in ``_horner_sums``, whose steps cost the same for one
-    angle as for a few hundred.  Either way R carries a rounding error of
-    order F eps sum_f (|A_f| + |B_f|), F frequencies: against a long-double
-    sum at N = 3 to 256 both stay below 0.6 of that.  Both use ufuncs
-    alone, no BLAS, so the sums do not depend on the BLAS thread count.
-    """
-    if theta.size * f.size <= _TABLE:
-        return _power_sums(f, A, B, theta)[0]
-    return _horner_sums(f, A, B, theta)
-
-
-def _power_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
-    """R and its first three derivatives, (4, rows of A, n), at the angles
-    theta (rows of A, n), with no loop over f: e^{i f h} as running
-    products of e^{i h} from e^{i f_0 h} (their phase errors grow as f eps,
-    not as the f h eps of exp(i f h)), times A_f - i B_f, contracted with
-    (i f)^m by np.einsum, which calls no BLAS at its default
-    optimize=False.  R^(m) carries a rounding error of order
-    (N/2)^m F eps sum_f (|A_f| + |B_f|)."""
-    e = np.empty((*theta.shape, f.size), dtype=complex)
-    e[..., 0] = np.exp(1j * f[0] * theta)
-    e[..., 1:] = np.exp(1j * theta)[..., None]
-    np.multiply.accumulate(e, axis=-1, out=e)
-    e *= (A - 1j * B)[:, None]
-    return np.einsum("rnf,fm->mrn", e, (1j * f[:, None]) ** np.arange(4)).real
-
-
-def _horner_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
-    """``_trig_sums`` by Horner's scheme for q at z = e^{i h}, times
-    e^{i f_0 h} for odd N, a batch of rows of theta at a time: every step
-    multiplies by z in the batch's shape, which holds at most _TABLE
-    angles, or one row."""
+def _horner_sums(f, C, theta: np.ndarray) -> np.ndarray:
+    """R at the angles theta (rows of C, n), each row with its row of C:
+    the real part of e^{i f_0 h} q(e^{i h}), q(z) = sum_j C_f z^j,
+    f = f_0 + j, by Horner's scheme, a batch of at most _TABLE angles (or
+    one row) at a time, so that a step costs the same for one angle as for
+    a few hundred.  R carries a rounding error of order F eps S, F
+    frequencies, S = sum_f (|Re C_f| + |Im C_f|): against a long-double sum
+    at N = 3 to 256 it stays below 0.6 of that.  Ufuncs alone, no BLAS."""
     rows, n = theta.shape
     step = max(1, _TABLE // max(n, f.size))
     out = np.empty((rows, n))
@@ -134,7 +106,7 @@ def _horner_sums(f, A, B, theta: np.ndarray) -> np.ndarray:
         h = theta[r:r + step]
         z = np.exp(1j * h)
         q = np.zeros(h.shape, dtype=complex)
-        for c in (A[r:r + step] - 1j * B[r:r + step]).T[::-1, :, None]:
+        for c in C[r:r + step].T[::-1, :, None]:
             q *= z                      # highest frequency first
             q += c
         if f[0]:
@@ -149,31 +121,39 @@ class DecodeError(RuntimeError):
     zeros apart; no angles are returned."""
 
 
-def _values(f, A, B, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """R, R', R'' and R''' (4, n) at the angles theta (n,) of the rows row
-    of A and B, summed term by term by ``_power_sums``, each angle with its
-    own row's coefficients, at most _TABLE terms a call."""
+def _values(f, C, row: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """R, R', R'' and R''' (4, n) at the angles theta (n,), each with its
+    own row C[row], at most _TABLE terms a chunk: e^{i f h} as running
+    products of e^{i h} from e^{i f_0 h} (their phase errors grow as f eps,
+    not as the f h eps of exp(i f h)), times C_f, contracted with (i f)^m by
+    np.einsum, which calls no BLAS at its default optimize=False.  R^(m)
+    carries a rounding error of order (N/2)^m F eps S."""
+    powers = (1j * f[:, None]) ** np.arange(4)
     out = np.empty((4, theta.size))
     step = max(1, _TABLE // f.size)
     for i in range(0, theta.size, step):
-        j = row[i:i + step]
-        out[:, i:i + step] = _power_sums(f, A[j], B[j],
-                                         theta[i:i + step, None])[..., 0]
+        h = theta[i:i + step]
+        e = np.empty((h.size, f.size), dtype=complex)
+        e[:, 0] = np.exp(1j * f[0] * h)
+        e[:, 1:] = np.exp(1j * h)[:, None]
+        np.multiply.accumulate(e, axis=1, out=e)
+        e *= C[row[i:i + step]]
+        out[:, i:i + step] = np.einsum("nf,fm->mn", e, powers).real
     return out
 
 
-def _cut(f, A, B, row, lo, hi, s) -> list:
+def _cut(f, C, row, lo, hi, s) -> list:
     """[at, P, Q]: the points at = lo + s w of the cells [lo, hi] of the
-    rows row, w = hi - lo, with s kept in the middle three quarters, so
-    that each cut leaves at most 7/8 of its cell, and P = R + i R',
-    Q = R'' + i R''' there, exact.  Cells narrower than the grid floor
-    sqrt(eps) 2 pi / N are not cut: there two zeros move R by less than its
-    rounding, and DecodeError is raised."""
+    rows row of C, w = hi - lo, with s kept in the middle three quarters,
+    so that each cut leaves at most 7/8 of its cell, and P = R + i R',
+    Q = R'' + i R''' there, exact (``_values``).  Cells narrower than the
+    grid floor sqrt(eps) 2 pi / N are not cut: there two zeros move R by
+    less than its rounding, and DecodeError is raised."""
     w = hi - lo
     if not np.all(w >= np.sqrt(_EPS) * TWO_PI / (2.0 * f[-1])):
         raise DecodeError("a cell to cut is narrower than the grid floor")
     at = lo + np.clip(s, 0.125, 0.875) * w
-    R, D1, D2, D3 = _values(f, A, B, row, at)
+    R, D1, D2, D3 = _values(f, C, row, at)
     return [at, R + 1j * D1, D2 + 1j * D3]
 
 
@@ -202,21 +182,22 @@ def _cell_ends(t, V, row, cell) -> list:
     return [t[j] for j in ends] + [X[row, j] for X in V for j in ends]
 
 
-def _refine(f, A, B, t, V) -> list:
-    """``_cell_ends`` of one row (A, B of shape (1, F)) whose grid
+def _refine(f, C, t, V) -> list:
+    """``_cell_ends`` of one row (C of shape (1, F)) whose grid
     (t, V = (R + i R', R'' + i R''')) brackets fewer than N zeros.
 
     On a cell of width w, R is within E = w^4 max|R''''| / 384 of the cubic
-    H of its end values and slopes, and |R''''| <= sum_f f^4 (|A_f| + |B_f|).
-    So a cell without a sign change can hide zeros only if sign(R) H comes
-    within E of 0, plus 2 K eps sum_f (1 + f) (|A_f| + |B_f|) for the
-    rounding of the grid.  Those cells are ``_cut`` where H comes nearest
-    0, until N sign changes bracket the N zeros.  If no such cell is left,
-    a cell with a sign change holds three zeros, and the cells with a sign
-    change are cut in half.
+    H of its end values and slopes, and
+    |R''''| <= sum_f f^4 (|Re C_f| + |Im C_f|).  So a cell without a sign
+    change can hide zeros only if sign(R) H comes within E of 0, plus
+    2 K eps sum_f (1 + f) (|Re C_f| + |Im C_f|) for the rounding of the
+    grid.  Those cells are ``_cut`` where H comes nearest 0, until N sign
+    changes bracket the N zeros.  If no such cell is left, a cell with a
+    sign change holds three zeros, and the cells with a sign change are
+    cut in half.
     """
     N = int(2 * f[-1])
-    weight = np.abs(A[0]) + np.abs(B[0])
+    weight = np.abs(C[0].real) + np.abs(C[0].imag)
     quartic = np.sum(f ** 4 * weight) / 384.0
     rounding = 2.0 * GRID_PER_ZERO * N * _EPS * np.sum((1.0 + f) * weight)
     while True:
@@ -234,7 +215,7 @@ def _refine(f, A, B, t, V) -> list:
         if found > N or not cut.any():
             raise DecodeError(f"the grid brackets {found} of the {N} zeros "
                               "of R")
-        new, *exact = _cut(f, A, B, np.zeros(np.count_nonzero(cut), int),
+        new, *exact = _cut(f, C, np.zeros(np.count_nonzero(cut), int),
                            t[:-1][cut], t[1:][cut], s[cut])
         at = np.flatnonzero(cut) + 1
         t = np.insert(t, at, new)
@@ -297,15 +278,15 @@ def _septic(c, s):
     return H, slope
 
 
-def _brackets(f, A, B) -> list:
+def _brackets(f, C) -> list:
     """``_cell_ends`` [lo, hi, P(lo), P(hi), Q(lo), Q(hi)], each (rows of
-    A, N), P = R + i R' and Q = R'' + i R''': for each row, N cells
+    C, N), P = R + i R' and Q = R'' + i R''': for each row, N cells
     [lo, hi] in increasing order, each holding one zero of R.
 
     R has N simple zeros in [0, 2 pi), so where its signs on the grid of
     K = GRID_PER_ZERO N angles 2 pi j / K change N times, each change
     brackets one zero in its own cell, exactly.  R + i R' is the sum of
-    d_g (1 - g) e^{i g theta} over g = +-f, with d_f = (A_f - i B_f) / 2 and
+    d_g (1 - g) e^{i g theta} over g = +-f, with d_f = C_f / 2 and
     d_{-f} its conjugate, so one inverse FFT of its coefficients at
     k = g + N / 2, times e^{-i N theta / 2}, gives both on the grid; a
     second, of those coefficients times (i g)^2, gives R'' + i R'''; and
@@ -313,9 +294,9 @@ def _brackets(f, A, B) -> list:
     so that no array exceeds _TABLE complex entries.  A row with fewer sign
     changes goes to ``_refine``.
     """
-    rows, N = A.shape[0], int(2 * f[-1])
+    rows, N = C.shape[0], int(2 * f[-1])
     K = GRID_PER_ZERO * N
-    d = 0.5 * (A - 1j * B)
+    d = 0.5 * C
     coef = np.zeros((rows, N + 1), dtype=complex)
     coef[:, (0.5 * N + f).astype(int)] = d * (1.0 - f)
     coef[:, (0.5 * N - f).astype(int)] += d.conj() * (1.0 + f)
@@ -343,16 +324,15 @@ def _brackets(f, A, B) -> list:
             x[lo + row] = e
         for i in np.flatnonzero(~whole):
             one = slice(lo + i, lo + i + 1)
-            for x, e in zip(ends, _refine(f, A[one], B[one], t,
-                                          [X[i] for X in V])):
+            for x, e in zip(ends, _refine(f, C[one], t, [X[i] for X in V])):
                 x[lo + i] = e
     return ends
 
 
 def _step_bound(N, lo, hi, theta, d):
-    """A bound on |R(theta + d)| / S, S = sum_f (|A_f| + |B_f|), for the
-    step d = -R(theta) / H'(theta) from theta in the cell [lo, hi] of the
-    Hermite interpolant H of ``_start``.
+    """A bound on |R(theta + d)| / S, S = sum_f (|Re C_f| + |Im C_f|), for
+    the step d = -R(theta) / H'(theta) from theta in the cell [lo, hi] of
+    the Hermite interpolant H of ``_start``.
 
     R(theta + d) = (R' - H')(theta) d + R''(x) d^2 / 2 for some x, and
     |R''| <= (N/2)^2 S.  R - H vanishes to fourth order at lo and hi, so
@@ -378,8 +358,8 @@ def _decode(alpha: np.ndarray) -> np.ndarray:
     R of ``_real_form``.  ``_brackets`` puts each in its own cell of
     [0, 2 pi], and one loop ends them.  Each open zero starts at the zero
     theta of the degree-7 Hermite interpolant H of its cell (``_start``),
-    takes one exact value of R there, by Horner's scheme over every zero at
-    once in the first round, and steps to theta - R / H'.  That angle is
+    takes one exact value of R there (``_horner_sums`` over every zero in
+    the first round, ``_values`` later), and steps to theta - R / H'.  That angle is
     taken if it stays in its cell and ``_step_bound`` puts |R| there below
     the rounding of R, eps S; so it is as near the zero as R's rounding
     lets an angle be.  Otherwise the cell is ``_cut`` at theta, the cut
@@ -388,14 +368,14 @@ def _decode(alpha: np.ndarray) -> np.ndarray:
     ends, at the latest with DecodeError at the grid floor.  At N = 256
     about one zero in fifty thousand needs a second round.  The cells
     are in order, so the angles are; a zero at 1 found at 2 pi is moved to
-    0.  Rows are independent: a block decodes to the same angles as its
-    rows one at a time.
+    0.  Rows are independent: a block decodes to the same bits as its rows
+    one at a time.
     """
-    f, A, B = _real_form(alpha)
+    f, C = _real_form(alpha)
     rows, N = alpha.shape
-    ends = [x.ravel() for x in _brackets(f, A, B)]
+    ends = [x.ravel() for x in _brackets(f, C)]
     theta, slope = _start(*ends)
-    R = _trig_sums(f, A, B, theta.reshape(rows, N)).ravel()
+    R = _horner_sums(f, C, theta.reshape(rows, N)).ravel()
     zero = np.arange(rows * N)
     out = np.empty(rows * N)
     while True:
@@ -412,13 +392,13 @@ def _decode(alpha: np.ndarray) -> np.ndarray:
         zero, theta = zero[keep], theta[keep]
         ends = [x[keep] for x in ends]
         lo, hi, row = *ends[:2], zero // N
-        cut = _cut(f, A, B, row, lo, hi, (theta - lo) / (hi - lo))
+        cut = _cut(f, C, row, lo, hi, (theta - lo) / (hi - lo))
         above = np.signbit(cut[1].real) == np.signbit(ends[2].real)
         for k, x in enumerate(cut):     # the zero lies above the cut point
             ends[2 * k] = np.where(above, x, ends[2 * k])
             ends[2 * k + 1] = np.where(above, ends[2 * k + 1], x)
         theta, slope = _start(*ends)
-        R = _values(f, A, B, row, theta)[0]
+        R = _values(f, C, row, theta)[0]
     out = out.reshape(rows, N)
     wrap = out[:, -1] == TWO_PI
     out[wrap] = np.roll(np.where(out[wrap] == TWO_PI, 0.0, out[wrap]), 1,

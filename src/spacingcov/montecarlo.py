@@ -225,6 +225,8 @@ class MCRunResult:
 def run(config: MCConfig, checkpoint_path=None, resume: bool = False,
         threads: int = 1, checkpoint_every: int = 50) -> MCRunResult:
     """Execute (or resume) a full streaming Monte Carlo run."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
     if resume and not checkpoint_path:

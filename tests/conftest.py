@@ -10,6 +10,13 @@ import warnings
 
 import pytest
 
+# one BLAS thread unless the caller sets a count, set before anything loads
+# numpy: the dense-oracle tests slowed more than 40x with two OpenBLAS
+# threads on a 2-CPU host whose other CPU was busy.  The tests that compare
+# thread counts set their own in subprocesses
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from spacingcov import autocov_series_exact
 from spacingcov import montecarlo as mc
 from spacingcov.spectral import SpectrumInterpolant

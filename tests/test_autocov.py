@@ -299,6 +299,17 @@ class TestSeriesAndSumRule:
             AutocovSeries(2, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             AutocovSeries(1, np.array([1.0, np.inf]))
+        with pytest.raises(ValueError):
+            AutocovSeries(-1, np.array([]))
+
+    def test_negative_k_max_rejected(self):
+        # a negative k_max would slice the values from their end and give
+        # a plausible wrong residual
+        series = AutocovSeries(10, np.linspace(1.0, 0.1, 11))
+        for k_max in (-1, -3):
+            with pytest.raises(ValueError):
+                sum_rule_residual(k_max, series)
+        assert sum_rule_residual(0, series) == 1.0
 
     def test_constructed_cancellation(self):
         a = 0.7

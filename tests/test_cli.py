@@ -177,6 +177,14 @@ class TestMonteCarlo:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["schema"] == "spacingcov/v1"
 
+    def test_zero_threads_is_failure(self, tmp_path, capsys):
+        # refused with the exit code of an invalid --n, not run serially
+        rc, out = _run(tmp_path, "x.csv",
+                       ["montecarlo"] + MC_ARGS + ["--threads", "0"])
+        assert rc == 1 and not out.exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "error" and "threads" in err["error"]
+
     def test_header_and_metadata(self, tmp_path):
         _, out = _run(tmp_path, "m.csv", ["montecarlo"] + MC_ARGS)
         lines = out.read_text().strip().splitlines()

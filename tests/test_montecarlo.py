@@ -195,14 +195,17 @@ def _cayley_angles(C):
     return np.sort(np.mod(phi + 2.0 * np.arctan(x), TWO_PI))
 
 
-def _both_regimes(h, N):
-    """The angles h (rows, n), cut or cycled along each row to a count whose
-    product with the N // 2 + 1 frequencies is at most cmv._TABLE, where
-    _trig_sums sums directly, and to one above it, where it takes Horner's
-    scheme; one of the two is h itself."""
-    rows, n = h.shape
-    most = cmv._TABLE // (rows * (N // 2 + 1))
-    return [h[:, np.arange(k) % n] for k in (min(n, most), max(n, most + 1))]
+def _row_values(f, C, theta):
+    """cmv._values at the angles theta (rows of C, n), each row of theta
+    with its row of C, as (4, rows, n)."""
+    rows, n = theta.shape
+    row = np.repeat(np.arange(rows), n)
+    return cmv._values(f, C, row, theta.ravel()).reshape(4, rows, n)
+
+
+def _weight(C):
+    """S = sum_f (|Re C_f| + |Im C_f|) of each row of C, as (rows, 1)."""
+    return (np.abs(C.real) + np.abs(C.imag)).sum(axis=1)[:, None]
 
 
 def _two_buffer_recursion(alpha):
@@ -262,19 +265,20 @@ class TestSparseCMVDecoder:
         block = cmv._decode(alpha)
         rows = np.array([cmv._decode(alpha[i:i + 1])[0]
                          for i in range(len(alpha))])
+        # every sum of an angle is the same whatever else is decoded with it
         assert block.shape == (40, N)
-        assert np.max(np.abs(block - rows)) <= 1e-13
+        assert np.array_equal(block, rows)
 
     @pytest.mark.parametrize("N", [256, 255, 24, 3])
     def test_angles_are_zeros_to_rounding(self, N):
         # each angle is taken only where _step_bound puts R below its
-        # rounding, so R at the angles is at most N eps sum_f (|A_f| + |B_f|)
+        # rounding, so R at the angles is at most
+        # N eps sum_f (|Re C_f| + |Im C_f|)
         alpha = self._block(N, 8, seed=21)
         theta = cmv._decode(alpha)
-        f, A, B = cmv._real_form(alpha)
-        R = cmv._trig_sums(f, A, B, theta)
-        scale = N * np.finfo(float).eps * (np.abs(A) + np.abs(B)).sum(axis=1)
-        assert np.all(np.abs(R) <= scale[:, None])
+        f, C = cmv._real_form(alpha)
+        R = cmv._horner_sums(f, C, theta)
+        assert np.all(np.abs(R) <= N * np.finfo(float).eps * _weight(C))
 
     def test_coarse_grid_refines_every_sample(self, monkeypatch):
         # at two grid angles per zero no N = 256 sample brackets all its
@@ -399,33 +403,33 @@ class TestSparseCMVDecoder:
     def test_cell_ends_carry_four_derivatives(self, monkeypatch):
         # at two grid angles per zero every N = 256 row is cut by _refine;
         # every cell end, on the grid or cut, carries R + i R' and
-        # R'' + i R''' at its angle, as _power_sums gives them, within
-        # 1e-9 (N/2)^m sum_f (|A_f| + |B_f|) for R^(m)
+        # R'' + i R''' at its angle, as _values gives them, within
+        # 1e-9 (N/2)^m sum_f (|Re C_f| + |Im C_f|) for R^(m)
         monkeypatch.setattr(cmv, "GRID_PER_ZERO", 2)
         alpha = self._block(256, 4, seed=52)
-        f, A, B = cmv._real_form(alpha)
-        lo, hi, P0, P1, Q0, Q1 = cmv._brackets(f, A, B)
-        weight = (np.abs(A) + np.abs(B)).sum(axis=1)[:, None]
+        f, C = cmv._real_form(alpha)
+        lo, hi, P0, P1, Q0, Q1 = cmv._brackets(f, C)
+        weight = _weight(C)
         for x, P, Q in ((lo, P0, Q0), (hi, P1, Q1)):
-            want = cmv._power_sums(f, A, B, x)
+            want = _row_values(f, C, x)
             for m, v in enumerate((P.real, P.imag, Q.real, Q.imag)):
                 assert np.all(np.abs(v - want[m])
                               <= 1e-9 * 128.0 ** m * weight)
 
     def test_ragged_sets_summed_by_their_own_size(self):
         # 64 angles over 11 rows of unequal counts at N = 256 are more terms
-        # than one _TABLE call: across the calls' boundaries each angle has
-        # the bits of its own row's term-by-term sum at that angle alone
+        # than one _TABLE chunk: across the chunks' boundaries each angle has
+        # the bits of its own row's sum at that angle alone
         alpha = self._block(256, 11, seed=53)
-        f, A, B = cmv._real_form(alpha)
+        f, C = cmv._real_form(alpha)
         rng = _rng(54)
         row = rng.integers(0, 11, 64)
         theta = rng.uniform(0.0, TWO_PI, 64)
         assert theta.size * f.size > 2 * cmv._TABLE
-        got = cmv._values(f, A, B, row, theta)
+        got = cmv._values(f, C, row, theta)
         for i, r in enumerate(row):
-            alone = cmv._power_sums(f, A[[r]], B[[r]], theta[None, [i]])
-            assert np.array_equal(got[:, i], alone[:, 0, 0])
+            alone = cmv._values(f, C[[r]], np.zeros(1, int), theta[[i]])
+            assert np.array_equal(got[:, i], alone[:, 0])
 
     @pytest.mark.parametrize("N", [17, 24])
     def test_coefficients_match_characteristic_polynomial(self, N):
@@ -446,34 +450,36 @@ class TestSparseCMVDecoder:
     def test_real_form_is_real(self, N):
         # R = mu e^{-i N theta / 2} P(e^{i theta}) summed in complex from
         # the coefficients is real, and its real part is the R of
-        # _trig_sums in either regime, at theta of either sign.  A random
+        # _horner_sums and of _values, at theta of either sign.  A random
         # theta can fall near a zero of R, where |R| is near the rounding
         # of its terms, so both are measured against the row's largest |R|
         alpha = self._block(N, 4, seed=12)
+        f, C = cmv._real_form(alpha)
         h = _rng(13).uniform(0.0, np.pi, (4, 16))
         mu = np.sqrt(-alpha[:, -1:])
-        for theta in [s * x for x in _both_regimes(h, N) for s in (1, -1)]:
-            R_real = cmv._trig_sums(*cmv._real_form(alpha), theta)
+        for theta in (h, -h):
             powers = np.exp(1j * np.arange(N + 1) * theta[..., None])
             R = (mu * np.exp(-0.5j * N * theta)
                  * np.einsum("bjk,kb->bj", powers, cmv._paraorthogonal(alpha)))
             scale = np.max(np.abs(R), axis=1, keepdims=True)
             assert np.all(np.abs(R.imag) <= 1e-12 * scale)
-            assert np.max(np.abs(R.real - R_real) / scale) <= 1e-12
+            for R_real in (cmv._horner_sums(f, C, theta),
+                           _row_values(f, C, theta)[0]):
+                assert np.max(np.abs(R.real - R_real) / scale) <= 1e-12
 
     @pytest.mark.parametrize("N", [256, 24, 17])
     def test_slope_matches_finite_difference(self, N):
-        # R', R'' and R''' of _power_sums against a Richardson-extrapolated
+        # R', R'' and R''' of _values against a Richardson-extrapolated
         # central difference of the derivative below, at theta of either
         # sign, with the step scaled to the frequencies
         alpha = self._block(N, 8, seed=5)
-        f, A, B = cmv._real_form(alpha)
+        f, C = cmv._real_form(alpha)
         h = _rng(6).uniform(0.2, np.pi - 0.2, (8, 16))
         step = 0.02 / N
         for theta in (h, -h):
-            got = cmv._power_sums(f, A, B, theta)
-            central = [(cmv._power_sums(f, A, B, theta + d)
-                        - cmv._power_sums(f, A, B, theta - d)) / (2.0 * d)
+            got = _row_values(f, C, theta)
+            central = [(_row_values(f, C, theta + d)
+                        - _row_values(f, C, theta - d)) / (2.0 * d)
                        for d in (0.5 * step, step)]
             want = (4.0 * central[0] - central[1]) / 3.0
             for m in (1, 2, 3):
@@ -482,23 +488,23 @@ class TestSparseCMVDecoder:
 
     @pytest.mark.parametrize("N", [256, 255, 17, 3])
     def test_trig_sum_regimes_agree_with_an_oracle(self, N):
-        # on the same angles R of the direct sum and of Horner's scheme
-        # agree with each other and with sum_f A_f cos(f h) + B_f sin(f h)
-        # summed term by term in float64, and the direct sum's derivatives
-        # with that sum's, each within 8 (N/2)^m F eps sum_f (|A_f| + |B_f|)
-        # for R^(m), F frequencies; odd N has half-integer f
+        # on the same angles R of _values and of Horner's scheme agree with
+        # each other and with sum_f A_f cos(f h) + B_f sin(f h), A = Re C,
+        # B = -Im C, summed term by term in float64, and the derivatives of
+        # _values with that sum's, each within 8 (N/2)^m F eps S for R^(m),
+        # F frequencies, S = sum_f (|A_f| + |B_f|); odd N has half-integer f
         alpha = self._block(N, 3, seed=41)
-        f, A, B = cmv._real_form(alpha)
+        f, C = cmv._real_form(alpha)
         theta = _rng(42).uniform(-np.pi, np.pi, (3, 40))
-        direct = cmv._power_sums(f, A, B, theta)
-        horner = cmv._horner_sums(f, A, B, theta)
+        direct = _row_values(f, C, theta)
+        horner = cmv._horner_sums(f, C, theta)
         fh = f * theta[..., None]
-        a, b = A[:, None], B[:, None]
+        a, b = C.real[:, None], -C.imag[:, None]
         even = a * np.cos(fh) + b * np.sin(fh)
         odd = b * np.cos(fh) - a * np.sin(fh)
         oracle = [even.sum(-1), (f * odd).sum(-1), -(f ** 2 * even).sum(-1),
                   -(f ** 3 * odd).sum(-1)]
-        weight = (np.abs(A) + np.abs(B)).sum(axis=1)[:, None]
+        weight = _weight(C)
         eps = np.finfo(float).eps
         for m in range(4):
             bound = 8.0 * (0.5 * N) ** m * f.size * eps * weight
@@ -513,13 +519,13 @@ class TestSparseCMVDecoder:
         # _horner_sums has the bits of Horner's scheme for q, times
         # e^{i f_0 h}
         alpha = self._block(N, 3, seed=43)
-        f, A, B = cmv._real_form(alpha)
+        f, C = cmv._real_form(alpha)
         theta = _rng(44).uniform(-np.pi, np.pi, (3, 40))
         z, q = np.exp(1j * theta), np.zeros(theta.shape, dtype=complex)
-        for c in (A - 1j * B).T[::-1, :, None]:
+        for c in C.T[::-1, :, None]:
             q = q * z + c
         R = (q * np.exp(1j * f[0] * theta)).real
-        assert np.array_equal(cmv._horner_sums(f, A, B, theta), R)
+        assert np.array_equal(cmv._horner_sums(f, C, theta), R)
 
     @pytest.mark.parametrize("N", [256, 255, 64, 17, 5, 4])
     def test_one_buffer_recursion_matches_two(self, N):
@@ -577,7 +583,7 @@ class TestSparseCMVDecoder:
         batch = CueBatch.generate(N, M, _rng(7))
         rng = _rng(7)
         rows = np.array([sample_cue_eigenangles(N, rng) for _ in range(M)])
-        assert np.max(np.abs(batch.eigenangles - rows)) <= 1e-13
+        assert np.array_equal(batch.eigenangles, rows)
 
 
 class TestUnfold:
@@ -1016,6 +1022,8 @@ class TestStreamingRun:
         assert mc._load_checkpoint(ck, cfg).next_chunk == cfg.n_chunks
 
     def test_checkpoint_every_guard(self, tmp_path, monkeypatch):
+        # checkpoint_every or threads below 1 is refused before any chunk
+        # is computed
         cfg = MCConfig(N=24, M=400, seed=1, k_max=3, chunk_size=200)
 
         def no_chunk(*args):
@@ -1023,8 +1031,9 @@ class TestStreamingRun:
 
         monkeypatch.setattr(mc, "_chunk_partials", no_chunk)
         ck = tmp_path / "ck.npz"
-        with pytest.raises(ValueError):
-            mc.run(cfg, checkpoint_path=str(ck), checkpoint_every=0)
+        for bad in ({"checkpoint_every": 0}, {"threads": 0}, {"threads": -5}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                mc.run(cfg, checkpoint_path=str(ck), **bad)
         assert not ck.exists()
 
     def test_resume_without_checkpoint(self, tmp_path):
